@@ -14,7 +14,7 @@
 namespace cupp::trace {
 
 namespace detail {
-std::atomic<bool> g_enabled{false};
+std::atomic<std::uint32_t> g_recorders{0};
 }  // namespace detail
 
 // --- formatting -----------------------------------------------------------
@@ -137,9 +137,7 @@ const EnvGate g_env_gate;
 
 }  // namespace
 
-void enable() {
-    detail::g_enabled.store(true, std::memory_order_relaxed);
-}
+void enable() { set_recorder(recorder::kTrace, true); }
 
 void enable(std::string path) {
     Session& s = session();
@@ -154,7 +152,7 @@ void enable(std::string path) {
     enable();
 }
 
-void disable() { detail::g_enabled.store(false, std::memory_order_relaxed); }
+void disable() { set_recorder(recorder::kTrace, false); }
 
 void clear() {
     Session& s = session();

@@ -94,15 +94,39 @@ struct Event {
 
 // --- recording ------------------------------------------------------------
 
+/// Bits of the process-wide recorder word. This tracer owns kTrace; the
+/// simulator's recorders (cusim::prof, cusim::timeline, cusim::faults)
+/// own the others. They share one word so that an instrumented runtime
+/// call learns whether any recorder is on from a single relaxed load.
+namespace recorder {
+inline constexpr std::uint32_t kTrace = 1u << 0;
+inline constexpr std::uint32_t kProfArmed = 1u << 1;       ///< prof::armed()
+inline constexpr std::uint32_t kProfCollecting = 1u << 2;  ///< prof::collecting()
+inline constexpr std::uint32_t kTimeline = 1u << 3;        ///< timeline::enabled()
+inline constexpr std::uint32_t kFaultsArmed = 1u << 4;     ///< faults::armed()
+}  // namespace recorder
+
 namespace detail {
-extern std::atomic<bool> g_enabled;
+extern std::atomic<std::uint32_t> g_recorders;
 }  // namespace detail
+
+/// The recorder word: which recorders are on (recorder::k* bits).
+[[nodiscard]] inline std::uint32_t recorders() {
+    return detail::g_recorders.load(std::memory_order_relaxed);
+}
+
+/// Turns one recorder bit on or off (each recorder's enable/disable).
+inline void set_recorder(std::uint32_t bit, bool on) {
+    if (on) {
+        detail::g_recorders.fetch_or(bit, std::memory_order_relaxed);
+    } else {
+        detail::g_recorders.fetch_and(~bit, std::memory_order_relaxed);
+    }
+}
 
 /// True while recording. The only cost instrumentation pays when tracing
 /// is off — keep instrumentation sites behind this check.
-[[nodiscard]] inline bool enabled() {
-    return detail::g_enabled.load(std::memory_order_relaxed);
-}
+[[nodiscard]] inline bool enabled() { return (recorders() & recorder::kTrace) != 0; }
 
 /// Starts in-memory recording (no output file).
 void enable();

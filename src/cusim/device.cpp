@@ -8,7 +8,7 @@
 #include "cusim/block_pool.hpp"
 #include "cusim/engine.hpp"
 #include "cusim/multiprocessor.hpp"
-#include "cusim/report.hpp"
+#include "cusim/op_record.hpp"
 
 namespace cusim {
 
@@ -32,97 +32,105 @@ LaunchStats Device::launch(const LaunchConfig& cfg, const KernelEntry& entry,
 
 LaunchStats Device::launch(const LaunchConfig& cfg, KernelSpec spec,
                            std::string_view name) {
-    prof::ApiScope prof_scope(prof::Api::Launch, trace_ordinal_, kDefaultStream, 0,
-                              name);
-    timeline::FailScope tl_fail(trace_ordinal_, kDefaultStream,
-                                timeline::Category::Kernel, name, 0,
-                                prof_scope.correlation(), trace_base_ + host_time_);
-    // Before validation and before any block runs: an injected launch
-    // failure (or a poisoned device) rejects the launch atomically.
-    fault_preflight(faults::Site::Launch, name);
+    // The preflight runs before validation and before any block runs: an
+    // injected launch failure (or a poisoned device) rejects the launch
+    // atomically.
+    detail::OpRecord op(this, {.api = prof::Api::Launch,
+                               .label = name,
+                               .category = timeline::Category::Kernel,
+                               .node = name,
+                               .site = faults::Site::Launch,
+                               .fault_label = name});
     cfg.validate();
     // Occupancy limits are checked before running anything.
     (void)blocks_per_mp(props_.cost, cfg);
     // Default-stream semantics: a legacy launch orders behind every
     // explicit stream's already-enqueued work.
     join_streams();
-
-    // Host interpreter wall time is the one profiler field that is real
-    // (and thus non-deterministic) rather than modelled; only measured
-    // while a profiling session is collecting.
-    const bool profiling = prof::collecting();
-    const double wall0 = profiling ? cupp::trace::wall_clock_us() : 0.0;
-    const LaunchStats stats = run_grid(cfg, spec, name);
-    if (profiling) {
-        prof::record_launch(name, cfg, stats, device_track(), trace_ordinal_,
-                            (cupp::trace::wall_clock_us() - wall0) * 1e-6,
-                            props_.cost);
-    }
-
-    // Asynchronous launch semantics: the device starts as soon as it is free
-    // and the host has issued the call; the host only pays the launch
-    // overhead (§2.2 "a kernel invocation does not block the host").
-    const double start = std::max(host_time_, device_free_at_);
-    device_free_at_ = start + stats.device_seconds;
-    const double host_issue_t0 = host_time_;
+    const double t0 = host_time_;
+    const LaunchStats stats = complete_kernel(cfg, spec, name, kDefaultStream,
+                                              device_free_at_, t0, op.correlation(), 0);
+    // The host only pays the launch overhead (§2.2 "a kernel invocation
+    // does not block the host"); the gap between this issue span's end and
+    // the grid's end is the overlap the asynchronous model buys.
     host_time_ += props_.cost.launch_overhead_s;
-
-    last_launch_ = stats;
-    ++launch_count_;
-    record_launch(name, stats, start, device_free_at_);
-
-    if (timeline::enabled()) {
-        const std::string label =
-            name.empty() ? std::string("kernel") : std::string(name);
-        // Host-bound start: the grid began the moment the host issued it,
-        // so the binding edge is the host lane's point at `start`; when the
-        // device was still busy, the device FIFO tail already ends there.
-        const std::uint64_t anchor =
-            start == host_issue_t0
-                ? timeline::anchor_host(trace_ordinal_, trace_base_ + start)
-                : 0;
-        timeline::device_op(trace_ordinal_, timeline::Category::Kernel, label, 0,
-                            prof_scope.correlation(), trace_base_ + start,
-                            trace_base_ + device_free_at_, anchor);
-        timeline::host_op(trace_ordinal_, timeline::Category::Host,
-                          "launch " + label, 0, prof_scope.correlation(),
-                          trace_base_ + host_issue_t0, trace_base_ + host_time_);
-    }
-
-    if (cupp::trace::enabled()) {
-        const std::string label =
-            name.empty() ? std::string("kernel") : std::string(name);
-        // The device lane shows the grid actually executing — with the full
-        // LaunchStats attached, this is the §6.3.1 profile per launch.
-        cupp::trace::emit_complete(
-            device_track(), label, trace_time_us(start), stats.device_seconds * 1e6,
-            {{"blocks", stats.blocks},
-             {"threads", stats.threads},
-             {"threads_per_block", stats.threads_per_block},
-             {"warps", stats.warps},
-             {"compute_cycles", stats.compute_cycles},
-             {"stall_cycles", stats.stall_cycles},
-             {"bytes_read", stats.bytes_read},
-             {"bytes_written", stats.bytes_written},
-             {"divergent_events", stats.divergent_events},
-             {"branch_evaluations", stats.branch_evaluations},
-             {"syncthreads", stats.syncthreads_count},
-             {"resident_blocks_per_mp", stats.resident_blocks_per_mp},
-             {"bound_by", to_string(bound_by(stats, props_.cost))}});
-        // The host lane shows only the (tiny) synchronous issue cost — the
-        // gap between this span's end and the device span's end is the
-        // overlap the asynchronous model buys.
-        cupp::trace::emit_complete(host_track(), "launch " + label,
-                                   trace_time_us(host_issue_t0),
-                                   props_.cost.launch_overhead_s * 1e6);
-        static const cupp::trace::counter_handle launches("cusim.kernel_launches");
-        launches.add();
-    }
+    op.issued(t0);
     return stats;
 }
 
+DeviceAddr Device::malloc_bytes(std::uint64_t bytes, std::source_location loc,
+                                const char* label) {
+    detail::OpRecord op(this, {.api = prof::Api::Malloc,
+                               .bytes = bytes,
+                               .label = label,
+                               .site = faults::Site::Malloc,
+                               .fault_label = label});
+    return memory_.allocate(bytes, loc, label);
+}
+
+void Device::free_bytes(DeviceAddr addr, std::source_location loc) {
+    detail::OpRecord op(this, {.api = prof::Api::Free});
+    join_streams();
+    memory_.free(addr, loc);
+}
+
+void Device::copy_to_device(DeviceAddr dst, const void* src, std::uint64_t bytes) {
+    detail::OpRecord op(this, detail::copy_op(detail::Copy::H2D, kDefaultStream, bytes));
+    join_streams();
+    const double t0 = host_time_;
+    const double wait = begin_host_access(bytes);
+    memory_.write(dst, src, bytes);
+    bytes_to_device_ += bytes;
+    complete_copy(detail::Copy::H2D, kDefaultStream, bytes, op.correlation(), t0,
+                  host_time_ - t0 - wait, wait, 0);
+}
+
+void Device::copy_to_host(void* dst, DeviceAddr src, std::uint64_t bytes) {
+    detail::OpRecord op(this, detail::copy_op(detail::Copy::D2H, kDefaultStream, bytes));
+    join_streams();
+    const double t0 = host_time_;
+    const double wait = begin_host_access(bytes);
+    memory_.read(src, dst, bytes);
+    bytes_to_host_ += bytes;
+    complete_copy(detail::Copy::D2H, kDefaultStream, bytes, op.correlation(), t0,
+                  host_time_ - t0 - wait, wait, 0);
+}
+
+void Device::copy_to_constant(DeviceAddr addr, const void* src, std::uint64_t bytes) {
+    detail::OpRecord op(this, detail::copy_op(detail::Copy::H2C, kDefaultStream, bytes));
+    join_streams();
+    const double t0 = host_time_;
+    const double wait = begin_host_access(bytes);
+    constant_.write(addr, src, bytes);
+    bytes_to_device_ += bytes;
+    complete_copy(detail::Copy::H2C, kDefaultStream, bytes, op.correlation(), t0,
+                  host_time_ - t0 - wait, wait, 0);
+}
+
+void Device::copy_device_to_device(DeviceAddr dst, DeviceAddr src, std::uint64_t bytes) {
+    detail::OpRecord op(this, detail::copy_op(detail::Copy::D2D, kDefaultStream, bytes));
+    join_streams();
+    const double secs = static_cast<double>(bytes) / props_.cost.mem_bandwidth_bytes_per_s;
+    const double start = std::max(device_free_at_, host_time_);
+    device_free_at_ = start + secs;
+    memory_.copy(dst, src, bytes);
+    complete_copy(detail::Copy::D2D, kDefaultStream, bytes, op.correlation(), start, secs,
+                  0.0, 0);
+}
+
+void Device::synchronize() {
+    detail::OpRecord op(this, {.api = prof::Api::Sync,
+                               .category = timeline::Category::Sync,
+                               .node = "synchronize",
+                               .site = faults::Site::Sync});
+    join_streams();
+    host_time_ = std::max(host_time_, device_free_at_);
+    prune_completed_async();
+    op.synced();
+}
+
 LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
-                             std::string_view name) {
+                             std::string_view name, bool tracing) {
     LaunchStats stats;
     stats.blocks = cfg.grid.count();
     stats.threads = cfg.total_threads();
@@ -198,7 +206,6 @@ LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
         // memory contents after a failed launch are undefined, as on real
         // hardware).
         std::atomic<std::uint64_t> first_error{nblocks};
-        const bool tracing = cupp::trace::enabled();
 
         BlockPool::instance().run(nblocks, threads, [&](std::uint64_t i) {
             if (first_error.load(std::memory_order_acquire) < i) return;
@@ -257,11 +264,7 @@ void Device::poison() {
     lost_ = true;
     faults::note_device_poisoned();
     cupp::trace::metrics().add("cusim.device_lost");
-    if (cupp::trace::enabled()) {
-        cupp::trace::emit_instant("faults", "device lost",
-                                  trace_time_us(std::max(host_time_, device_free_at_)),
-                                  {{"device", trace_ordinal_}});
-    }
+    trace_device_event("device lost", std::max(host_time_, device_free_at_));
 }
 
 void Device::reset_device() {
@@ -273,26 +276,7 @@ void Device::reset_device() {
     device_free_at_ = host_time_;
     memory_.wipe_for_recovery();
     cupp::trace::metrics().add("cusim.device_resets");
-    if (cupp::trace::enabled()) {
-        cupp::trace::emit_instant("faults", "device reset",
-                                  trace_time_us(host_time_),
-                                  {{"device", trace_ordinal_}});
-    }
-}
-
-void Device::record_launch(std::string_view name, const LaunchStats& stats, double start,
-                           double end) {
-    LaunchRecord rec;
-    rec.kernel_name = name.empty() ? "kernel" : std::string(name);
-    rec.stats = stats;
-    rec.start_seconds = trace_base_ + start;
-    rec.end_seconds = trace_base_ + end;
-    if (history_.size() < kLaunchHistoryCapacity) {
-        history_.push_back(std::move(rec));
-    } else {
-        history_[history_head_] = std::move(rec);
-        history_head_ = (history_head_ + 1) % kLaunchHistoryCapacity;
-    }
+    trace_device_event("device reset", host_time_);
 }
 
 }  // namespace cusim

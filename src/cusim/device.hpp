@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "cupp/trace.hpp"
 #include "cusim/accounting.hpp"
 #include "cusim/constant_memory.hpp"
 #include "cusim/cost_model.hpp"
@@ -29,7 +28,6 @@
 #include "cusim/global_memory.hpp"
 #include "cusim/graph.hpp"
 #include "cusim/launch.hpp"
-#include "cusim/prof.hpp"
 #include "cusim/timeline.hpp"
 
 namespace cusim {
@@ -39,6 +37,9 @@ struct StreamTable;  // per-device stream/event state (stream_detail.hpp)
 struct StreamState;
 struct StreamOp;
 struct CaptureState;  // live graph-capture recording state (stream_detail.hpp)
+class OpRecord;       // a runtime call's instrumentation point (op_record.hpp)
+/// The copy kinds the recorders tell apart (H2C: a constant-memory upload).
+enum class Copy : std::uint8_t { H2D, D2H, D2D, H2C };
 }  // namespace detail
 
 /// Identifies one of a Device's asynchronous work queues. Id 0 is the
@@ -83,22 +84,12 @@ public:
     [[nodiscard]] DeviceAddr malloc_bytes(
         std::uint64_t bytes,
         std::source_location loc = std::source_location::current(),
-        const char* label = "cusim::Device::malloc_bytes") {
-        // Profiler scopes open before the fault preflight throughout this
-        // class: an injected fault is observable as a failed Exit callback.
-        prof::ApiScope prof_scope(prof::Api::Malloc, trace_ordinal_, 0, bytes, label);
-        fault_preflight(faults::Site::Malloc, label);
-        return memory_.allocate(bytes, loc, label);
-    }
+        const char* label = "cusim::Device::malloc_bytes");
+    /// Pending async ops may still reference this allocation; they execute
+    /// first, which keeps a free-after-enqueue well-defined (real CUDA
+    /// defers the free until queued work using the range completes).
     void free_bytes(DeviceAddr addr,
-                    std::source_location loc = std::source_location::current()) {
-        prof::ApiScope prof_scope(prof::Api::Free, trace_ordinal_);
-        // Pending async ops may still reference this allocation; executing
-        // them first keeps a free-after-enqueue well-defined (real CUDA
-        // defers the free until queued work using the range completes).
-        join_streams();
-        memory_.free(addr, loc);
-    }
+                    std::source_location loc = std::source_location::current());
 
     /// Typed allocation of `count` elements.
     template <typename T>
@@ -106,21 +97,14 @@ public:
         std::uint64_t count,
         std::source_location loc = std::source_location::current(),
         const char* label = "cusim::Device::malloc_n") {
-        prof::ApiScope prof_scope(prof::Api::Malloc, trace_ordinal_, 0,
-                                  count * sizeof(T), label);
-        fault_preflight(faults::Site::Malloc, label);
-        const DeviceAddr addr = memory_.allocate(count * sizeof(T), loc, label);
+        const DeviceAddr addr = malloc_bytes(count * sizeof(T), loc, label);
         return DevicePtr<T>(memory_.raw(addr), addr, count, memory_.shadow().alloc_id(addr));
     }
 
     template <typename T>
     void free(const DevicePtr<T>& p,
               std::source_location loc = std::source_location::current()) {
-        if (!p.null()) {
-            prof::ApiScope prof_scope(prof::Api::Free, trace_ordinal_);
-            join_streams();
-            memory_.free(p.addr(), loc);
-        }
+        if (!p.null()) free_bytes(p.addr(), loc);
     }
 
     /// Re-creates a typed view over an existing allocation (validated).
@@ -133,81 +117,10 @@ public:
     }
 
     // --- host <-> device transfers (blocking, clock-advancing) ------------
-    void copy_to_device(DeviceAddr dst, const void* src, std::uint64_t bytes) {
-        prof::ApiScope prof_scope(prof::Api::MemcpyH2D, trace_ordinal_, 0, bytes);
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::MemcpyH2D,
-                                    "memcpy H2D", bytes, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::MemcpyH2D);
-        join_streams();
-        const bool tracing = cupp::trace::enabled();
-        const double t0 = host_time_;
-        const double wait = std::max(0.0, device_free_at_ - host_time_);
-        begin_host_access(bytes);
-        memory_.write(dst, src, bytes);
-        bytes_to_device_ += bytes;
-        if (tracing) trace_transfer("memcpy H2D", t0, bytes, wait, "H2D");
-        if (prof::collecting()) {
-            prof::record_transfer(CopyKind::HostToDevice, bytes,
-                                  host_time_ - t0 - wait, trace_ordinal_);
-        }
-        tl_host_transfer(timeline::Category::MemcpyH2D, "memcpy H2D", bytes,
-                         prof_scope.correlation(), t0, wait);
-    }
-    void copy_to_host(void* dst, DeviceAddr src, std::uint64_t bytes) {
-        prof::ApiScope prof_scope(prof::Api::MemcpyD2H, trace_ordinal_, 0, bytes);
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::MemcpyD2H,
-                                    "memcpy D2H", bytes, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::MemcpyD2H);
-        join_streams();
-        const bool tracing = cupp::trace::enabled();
-        const double t0 = host_time_;
-        const double wait = std::max(0.0, device_free_at_ - host_time_);
-        begin_host_access(bytes);
-        memory_.read(src, dst, bytes);
-        bytes_to_host_ += bytes;
-        if (tracing) trace_transfer("memcpy D2H", t0, bytes, wait, "D2H");
-        if (prof::collecting()) {
-            prof::record_transfer(CopyKind::DeviceToHost, bytes,
-                                  host_time_ - t0 - wait, trace_ordinal_);
-        }
-        tl_host_transfer(timeline::Category::MemcpyD2H, "memcpy D2H", bytes,
-                         prof_scope.correlation(), t0, wait);
-    }
-    void copy_device_to_device(DeviceAddr dst, DeviceAddr src, std::uint64_t bytes) {
-        prof::ApiScope prof_scope(prof::Api::MemcpyD2D, trace_ordinal_, 0, bytes);
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::MemcpyD2D,
-                                    "memcpy D2D", bytes, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::MemcpyD2D);
-        join_streams();
-        // Device-side copy: consumes device time, not host time.
-        const double secs = static_cast<double>(bytes) / props_.cost.mem_bandwidth_bytes_per_s;
-        const double start = std::max(device_free_at_, host_time_);
-        device_free_at_ = start + secs;
-        memory_.copy(dst, src, bytes);
-        if (cupp::trace::enabled()) {
-            cupp::trace::emit_complete(
-                device_track(), "memcpy D2D", trace_time_us(start), secs * 1e6,
-                {{"bytes", bytes}, {"kind", "D2D"}});
-        }
-        if (prof::collecting()) {
-            prof::record_transfer(CopyKind::DeviceToDevice, bytes, secs,
-                                  trace_ordinal_);
-        }
-        if (timeline::enabled()) {
-            // Host-bound start: the binding edge is the host lane's point at
-            // `start` (the device FIFO tail already ends there otherwise).
-            const std::uint64_t anchor =
-                start == host_time_
-                    ? timeline::anchor_host(trace_ordinal_, tl_abs(start))
-                    : 0;
-            timeline::device_op(trace_ordinal_, timeline::Category::MemcpyD2D,
-                                "memcpy D2D", bytes, prof_scope.correlation(),
-                                tl_abs(start), tl_abs(device_free_at_), anchor);
-        }
-    }
+    void copy_to_device(DeviceAddr dst, const void* src, std::uint64_t bytes);
+    void copy_to_host(void* dst, DeviceAddr src, std::uint64_t bytes);
+    /// Device-side copy: consumes device time, not host time.
+    void copy_device_to_device(DeviceAddr dst, DeviceAddr src, std::uint64_t bytes);
 
     template <typename T>
     void upload(const DevicePtr<T>& dst, std::span<const T> src) {
@@ -236,24 +149,7 @@ public:
 
     /// Host upload into constant memory (blocks while a kernel is active,
     /// like any host access to device state).
-    void copy_to_constant(DeviceAddr addr, const void* src, std::uint64_t bytes) {
-        prof::ApiScope prof_scope(prof::Api::MemcpyH2D, trace_ordinal_, 0, bytes,
-                                  "constant");
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::MemcpyH2D,
-                                    "memcpy H2C", bytes, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::MemcpyH2D, "constant");
-        join_streams();
-        const bool tracing = cupp::trace::enabled();
-        const double t0 = host_time_;
-        const double wait = std::max(0.0, device_free_at_ - host_time_);
-        begin_host_access(bytes);
-        constant_.write(addr, src, bytes);
-        bytes_to_device_ += bytes;
-        if (tracing) trace_transfer("memcpy H2C", t0, bytes, wait, "H2C");
-        tl_host_transfer(timeline::Category::MemcpyH2D, "memcpy H2C", bytes,
-                         prof_scope.correlation(), t0, wait);
-    }
+    void copy_to_constant(DeviceAddr addr, const void* src, std::uint64_t bytes);
 
     // --- execution ---------------------------------------------------------
     /// Executes a grid and advances the device timeline by the modelled
@@ -282,21 +178,7 @@ public:
 
     /// cudaThreadSynchronize: host blocks until the device is idle —
     /// including every explicit stream (their pending work executes first).
-    void synchronize() {
-        prof::ApiScope prof_scope(prof::Api::Sync, trace_ordinal_);
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::Sync,
-                                    "synchronize", 0, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::Sync);
-        join_streams();
-        host_time_ = std::max(host_time_, device_free_at_);
-        prune_completed_async();
-        if (timeline::enabled()) {
-            timeline::host_sync(trace_ordinal_, "synchronize",
-                                prof_scope.correlation(), tl_abs(host_time_),
-                                timeline::device_tail(trace_ordinal_));
-        }
-    }
+    void synchronize();
 
     // --- events (cudaEventRecord-style timing) -------------------------------
     /// A point on the device timeline.
@@ -478,64 +360,72 @@ public:
     }
 
 private:
-    /// One relaxed atomic load when no faults are armed and no device was
-    /// ever poisoned — the whole cost of the instrumentation by default.
-    void fault_preflight(faults::Site site, std::string_view label = {}) {
-        if (faults::armed()) faults::preflight(site, label, this);
-    }
+    friend class detail::OpRecord;
 
     /// Maps a simulated-seconds timestamp onto the timeline's absolute
     /// monotonic axis (same base as the trace, but in seconds).
     [[nodiscard]] double tl_abs(double t) const { return trace_base_ + t; }
 
-    /// Timeline node for a blocking host-side transfer: the transfer span
-    /// [t0+wait, now] on the host lane, bound to the device FIFO tail when
-    /// the host had to wait for an active kernel first (the wait itself
-    /// shows as a host-lane bubble).
-    void tl_host_transfer(timeline::Category cat, std::string_view name,
-                          std::uint64_t bytes, std::uint64_t corr, double t0,
-                          double wait) {
-        if (!timeline::enabled()) return;
-        timeline::host_op(trace_ordinal_, cat, name, bytes, corr,
-                          tl_abs(t0 + wait), tl_abs(host_time_),
-                          wait > 0.0 ? timeline::device_tail(trace_ordinal_) : 0);
-    }
-
-    void trace_transfer(const char* name, double t0, std::uint64_t bytes, double wait_s,
-                        const char* kind) {
-        cupp::trace::emit_complete(host_track(), name, trace_time_us(t0),
-                                   (host_time_ - t0) * 1e6,
-                                   {{"bytes", bytes},
-                                    {"kind", kind},
-                                    {"device_wait_us", wait_s * 1e6}});
-        static const cupp::trace::counter_handle h2d("cusim.bytes_h2d");
-        static const cupp::trace::counter_handle d2h("cusim.bytes_d2h");
-        static const cupp::trace::counter_handle n_xfers("cusim.transfers");
-        (kind[0] == 'D' ? d2h : h2d).add(bytes);
-        n_xfers.add();
+    /// Modelled PCIe time of one host <-> device transfer.
+    [[nodiscard]] double pcie_seconds(std::uint64_t bytes) const {
+        return props_.cost.transfer_latency_s +
+               static_cast<double>(bytes) / props_.cost.pcie_bandwidth_bytes_per_s;
     }
 
     /// Host access to device memory blocks until no kernel is active (§2.2)
-    /// and then pays the PCIe transfer cost. Inlines the synchronize()
-    /// wait rather than calling it so one transfer hits exactly one fault
-    /// injection site (the memcpy one), not two.
-    void begin_host_access(std::uint64_t bytes) {
+    /// and then pays the PCIe transfer cost; returns how long the host
+    /// waited for the device first. Inlines the synchronize() wait rather
+    /// than calling it so one transfer hits exactly one fault injection
+    /// site (the memcpy one), not two.
+    double begin_host_access(std::uint64_t bytes) {
+        const double wait = std::max(0.0, device_free_at_ - host_time_);
         host_time_ = std::max(host_time_, device_free_at_);
-        host_time_ += props_.cost.transfer_latency_s +
-                      static_cast<double>(bytes) / props_.cost.pcie_bandwidth_bytes_per_s;
+        host_time_ += pcie_seconds(bytes);
+        return wait;
     }
 
-    /// Appends to the launch-history ring buffer (device.cpp).
-    void record_launch(std::string_view name, const LaunchStats& stats, double start,
-                       double end);
+    // --- recorder emission (op_record.cpp) ----------------------------------
+    // The device side of every instrumented call: each hands one finished
+    // interval to trace, prof, timeline and the cusim.* counters.
+
+    /// Runs one grid on stream `sid` (kDefaultStream: the legacy device
+    /// lane), whose busy horizon is `free_at`, issued by the host at
+    /// `issue`, and records its completion. `anchor` is the stream op's
+    /// host-lane issue node. Shared by Device::launch, the stream drain
+    /// and graph replay.
+    LaunchStats complete_kernel(const LaunchConfig& cfg, const KernelSpec& spec,
+                                std::string_view name, StreamId sid, double& free_at,
+                                double issue, std::uint64_t corr, std::uint64_t anchor);
+    /// Records one finished copy. A drained async copy ran on stream `sid`
+    /// and a blocking D2D on the device lane, each `secs` from `start`; any
+    /// other blocking copy held the host lane from `start` to host now,
+    /// the first `wait` seconds of it blocked on the device.
+    void complete_copy(detail::Copy kind, StreamId sid, std::uint64_t bytes,
+                       std::uint64_t corr, double start, double secs, double wait,
+                       std::uint64_t anchor);
+    /// Records an event record or wait point (`mark`) at `t` on stream
+    /// `sid` or the legacy device lane; `newest` marks the record that now
+    /// defines the event's completion.
+    void complete_mark(timeline::Category mark, StreamId sid, EventId event,
+                       std::uint64_t corr, double t, std::uint64_t anchor, bool newest);
+    /// join_streams folded stream `sid`'s horizon into the device-wide one.
+    void fold_stream_tail(StreamId sid);
+    /// A "faults"-track trace instant at `t` (device lost / reset).
+    void trace_device_event(const char* what, double t);
+    /// Timeline node on stream `sid` or the legacy device lane.
+    std::uint64_t tl_device_node(StreamId sid, timeline::Category cat, std::string_view name,
+                                 std::uint64_t bytes, std::uint64_t corr, double start,
+                                 double end, std::uint64_t dep);
 
     /// The block-execution core shared by launch() and the stream drain:
     /// validation must already have happened; runs the grid on the
     /// BlockPool (or serially), reduces everything observable in launch
     /// order, and returns the stats with device_seconds filled in. Does
-    /// not touch the timeline, history, or trace. (device.cpp)
+    /// not touch the timeline, history, or trace, beyond replaying the
+    /// kernel-side trace events pool workers captured while `tracing`.
+    /// (device.cpp)
     LaunchStats run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
-                         std::string_view name);
+                         std::string_view name, bool tracing);
 
     /// Legacy (default-stream) semantics: every pre-stream operation joins
     /// with all explicit streams — pending ops execute and the per-stream
@@ -550,6 +440,13 @@ private:
     void abandon_streams();          // stream.cpp (reset_device path)
     void prune_completed_async();    // stream.cpp: drops completed D2H ranges
     [[nodiscard]] detail::StreamTable& stream_table();  // lazily created
+
+    /// The live stream `stream`; throws InvalidValue(`what`) when unknown.
+    detail::StreamState& live_stream(StreamId stream, const char* what);
+    /// Queues `op` on stream `sid` (state `st`) under the record `rec`, or
+    /// hands it to the live capture. Returns the op's seq (0: captured).
+    std::uint64_t enqueue(const detail::OpRecord& rec, StreamId sid,
+                          detail::StreamState& st, detail::StreamOp op);
 
     /// Executes every pending stream op in the canonical order (stream.cpp).
     void drain_streams();

@@ -15,7 +15,6 @@
 namespace cusim::faults {
 
 namespace detail {
-std::atomic<bool> g_armed{false};
 std::atomic<bool> g_enabled{false};
 }  // namespace detail
 
@@ -228,7 +227,7 @@ void register_atexit_once() {
 void arm() {
     register_atexit_once();
     detail::g_enabled.store(true, std::memory_order_relaxed);
-    detail::g_armed.store(true, std::memory_order_relaxed);
+    cupp::trace::set_recorder(cupp::trace::recorder::kFaultsArmed, true);
 }
 
 [[noreturn]] void bad_plan(const std::string& what) {
@@ -429,14 +428,14 @@ void disable() { detail::g_enabled.store(false, std::memory_order_relaxed); }
 
 void reset() {
     disable();
-    detail::g_armed.store(false, std::memory_order_relaxed);
+    cupp::trace::set_recorder(cupp::trace::recorder::kFaultsArmed, false);
     State::instance().clear();
 }
 
 void note_device_poisoned() {
     // Keep the fast-path gate up for the sticky check even if the rules
     // are later disabled. reset() is the only way back down.
-    detail::g_armed.store(true, std::memory_order_relaxed);
+    cupp::trace::set_recorder(cupp::trace::recorder::kFaultsArmed, true);
 }
 
 void preflight(Site site, std::string_view label, Device* dev) {

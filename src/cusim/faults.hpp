@@ -44,7 +44,11 @@
 // "faults" track plus cusim.faults.* counters, and an injection report
 // (JSON) can be written at process exit for tools/faults_check.
 //
-// The disabled fast path is a single relaxed atomic load per site.
+// Each runtime call's op record (src/cusim/op_record.hpp) runs the
+// preflight, reading armed() from the shared recorder word
+// (cupp::trace::recorders()) together with every other recorder's state.
+// With every recorder off, a call costs one relaxed load when it opens its
+// record and one per device-side completion (grid, copy, event mark).
 #pragma once
 
 #include <atomic>
@@ -53,6 +57,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cupp/trace.hpp"
 #include "cusim/error.hpp"
 
 namespace cusim {
@@ -64,17 +69,15 @@ namespace cusim::faults {
 // --- enablement -----------------------------------------------------------
 
 namespace detail {
+extern std::atomic<bool> g_enabled;
+}  // namespace detail
+
 /// True while injection rules are active *or* any device is poisoned —
 /// the one gate instrumented sites check (the poisoned-device check must
 /// stay live even after the rules are disabled, or sticky semantics die
 /// with the plan).
-extern std::atomic<bool> g_armed;
-extern std::atomic<bool> g_enabled;
-}  // namespace detail
-
-/// The per-site fast-path gate: one relaxed load when nothing is armed.
 [[nodiscard]] inline bool armed() {
-    return detail::g_armed.load(std::memory_order_relaxed);
+    return (cupp::trace::recorders() & cupp::trace::recorder::kFaultsArmed) != 0;
 }
 
 /// True while injection rules are being evaluated.

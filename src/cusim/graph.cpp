@@ -20,9 +20,8 @@
 
 #include "cusim/memcheck.hpp"
 #include "cusim/multiprocessor.hpp"
-#include "cusim/prof.hpp"
+#include "cusim/op_record.hpp"
 #include "cusim/stream_detail.hpp"
-#include "cusim/timeline.hpp"
 
 namespace cusim {
 
@@ -36,7 +35,7 @@ std::size_t GraphExec::node_count() const { return ir_ ? ir_->nodes.size() : 0; 
 // --- capture ------------------------------------------------------------------
 
 void Device::stream_begin_capture(StreamId origin, CaptureMode mode) {
-    prof::ApiScope prof_scope(prof::Api::StreamBeginCapture, trace_ordinal_, origin);
+    detail::OpRecord op(this, {.api = prof::Api::StreamBeginCapture, .stream = origin});
     if (capturing_) {
         throw Error(ErrorCode::StreamCaptureInvalid,
                     "stream_begin_capture: a capture is already in progress");
@@ -50,14 +49,11 @@ void Device::stream_begin_capture(StreamId origin, CaptureMode mode) {
     capture_->mode = mode;
     capture_->captured.insert(origin);
     capturing_ = true;
-    if (cupp::trace::enabled()) {
-        cupp::trace::emit_instant(host_track(), "begin capture",
-                                  trace_time_us(host_time_), {{"stream", origin}});
-    }
+    op.instant("begin capture", "stream", origin);
 }
 
 Graph Device::stream_end_capture(StreamId origin) {
-    prof::ApiScope prof_scope(prof::Api::StreamEndCapture, trace_ordinal_, origin);
+    detail::OpRecord op(this, {.api = prof::Api::StreamEndCapture, .stream = origin});
     if (!capturing_) {
         throw Error(ErrorCode::StreamCaptureInvalid,
                     "stream_end_capture: no capture in progress");
@@ -77,11 +73,7 @@ Graph Device::stream_end_capture(StreamId origin) {
         throw Error(ErrorCode::StreamCaptureInvalid,
                     "stream_end_capture: capture was invalidated (" + reason + ")");
     }
-    if (cupp::trace::enabled()) {
-        cupp::trace::emit_instant(host_track(), "end capture",
-                                  trace_time_us(host_time_),
-                                  {{"nodes", ir->nodes.size()}});
-    }
+    op.instant("end capture", "nodes", ir->nodes.size());
     return Graph(std::shared_ptr<const detail::GraphIR>(std::move(ir)));
 }
 
@@ -130,8 +122,8 @@ bool Device::capture_op(detail::StreamOp& op, StreamId stream) {
 // --- instantiate --------------------------------------------------------------
 
 GraphExec Device::graph_instantiate(const Graph& graph) {
-    prof::ApiScope prof_scope(prof::Api::GraphInstantiate, trace_ordinal_, 0,
-                              graph.node_count());
+    detail::OpRecord op(this, {.api = prof::Api::GraphInstantiate,
+                               .bytes = graph.node_count()});
     if (!graph.valid()) {
         throw Error(ErrorCode::InvalidValue, "graph_instantiate: empty graph handle");
     }
@@ -142,7 +134,7 @@ GraphExec Device::graph_instantiate(const Graph& graph) {
     }
     // One preflight for the whole validation pass: an injected failure is
     // atomic (no exec handle, no state touched) and retryable.
-    fault_preflight(faults::Site::Launch, "graph instantiate");
+    op.preflight(faults::Site::Launch, "graph instantiate");
     detail::StreamTable& t = stream_table();
     for (const GraphNode& n : ir.nodes) {
         if (t.streams.find(n.stream) == t.streams.end()) {
@@ -183,22 +175,17 @@ GraphExec Device::graph_instantiate(const Graph& graph) {
                 break;
         }
     }
-    if (cupp::trace::enabled()) {
-        cupp::trace::emit_instant(host_track(), "graph instantiate",
-                                  trace_time_us(host_time_),
-                                  {{"nodes", ir.nodes.size()}});
-    }
+    op.instant("graph instantiate", "nodes", ir.nodes.size());
     return GraphExec(graph.ir_);
 }
 
 // --- replay -------------------------------------------------------------------
 
 void Device::graph_launch(const GraphExec& exec) {
-    prof::ApiScope prof_scope(prof::Api::GraphLaunch, trace_ordinal_, 0,
-                              exec.node_count());
-    timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::Host,
-                                "graph launch", 0, prof_scope.correlation(),
-                                tl_abs(host_time_));
+    detail::OpRecord record(this, {.api = prof::Api::GraphLaunch,
+                                   .bytes = exec.node_count(),
+                                   .category = timeline::Category::Host,
+                                   .node = "graph launch"});
     if (capturing_) capture_violation("graph_launch during stream capture");
     if (!exec.valid()) {
         throw Error(ErrorCode::InvalidValue, "graph_launch: empty exec handle");
@@ -210,7 +197,7 @@ void Device::graph_launch(const GraphExec& exec) {
     }
     // One preflight, then target-liveness checks, all before any mutation:
     // an injected or real failure leaves every queue untouched.
-    fault_preflight(faults::Site::Launch, "graph launch");
+    record.preflight(faults::Site::Launch, "graph launch");
     detail::StreamTable& t = stream_table();
     for (const GraphNode& n : ir.nodes) {
         if (t.streams.find(n.stream) == t.streams.end()) {
@@ -219,20 +206,17 @@ void Device::graph_launch(const GraphExec& exec) {
         }
     }
 
-    // Fast path: no per-op ApiScope/preflight/validation/anchor — every
+    // Fast path: no per-op record/preflight/validation/anchor — every
     // node re-enqueues with a fresh seq under one host-lane anchor.
     const double t0 = host_time_;
-    std::uint64_t anchor = 0;
-    if (timeline::enabled()) {
-        anchor = timeline::anchor_host(trace_ordinal_, tl_abs(t0));
-    }
+    const std::uint64_t anchor = record.anchor();
     std::vector<std::uint64_t> node_seq(ir.nodes.size(), 0);
     for (std::size_t i = 0; i < ir.nodes.size(); ++i) {
         const GraphNode& n = ir.nodes[i];
         StreamOp op = n.op;  // copy: closures + staged bytes are reused as-is
         op.seq = t.next_seq++;
         op.issue_host_time = t0;
-        op.corr = prof_scope.correlation();
+        op.corr = record.correlation();
         op.tl_anchor = anchor;
         node_seq[i] = op.seq;
         switch (op.kind) {
@@ -268,18 +252,7 @@ void Device::graph_launch(const GraphExec& exec) {
 
     // The amortization: one launch-overhead charge for the whole DAG.
     host_time_ += props_.cost.launch_overhead_s;
-    if (timeline::enabled()) {
-        timeline::host_op(trace_ordinal_, timeline::Category::Host, "graph launch",
-                          0, prof_scope.correlation(), tl_abs(t0),
-                          tl_abs(host_time_));
-    }
-    if (cupp::trace::enabled()) {
-        cupp::trace::emit_complete(host_track(), "graph launch", trace_time_us(t0),
-                                   props_.cost.launch_overhead_s * 1e6,
-                                   {{"nodes", ir.nodes.size()}});
-        static const cupp::trace::counter_handle launches("cusim.graph.launches");
-        launches.add();
-    }
+    record.issued(t0);
 }
 
 }  // namespace cusim

@@ -13,15 +13,8 @@
 namespace cusim::prof {
 
 namespace detail {
-std::atomic<bool> g_armed{false};
-std::atomic<bool> g_collecting{false};
-std::atomic<bool> g_correlation_tracking{false};
 std::atomic<std::uint64_t> g_next_correlation{0};
 }  // namespace detail
-
-void set_correlation_tracking(bool on) {
-    detail::g_correlation_tracking.store(on, std::memory_order_relaxed);
-}
 
 void reset_correlation_ids() {
     detail::g_next_correlation.store(0, std::memory_order_relaxed);
@@ -239,13 +232,12 @@ public:
 private:
     State() = default;
 
-    /// g_armed = any subscriber or an enabled collector; g_collecting =
+    /// armed = any subscriber or an enabled collector; collecting =
     /// enabled collector inside a session. Both derived here, under mu_.
     void recompute_gates_locked() {
-        detail::g_collecting.store(collector_enabled_ && in_session_,
-                                   std::memory_order_relaxed);
-        detail::g_armed.store(!subs_.empty() || collector_enabled_,
-                              std::memory_order_relaxed);
+        namespace rec = cupp::trace::recorder;
+        cupp::trace::set_recorder(rec::kProfCollecting, collector_enabled_ && in_session_);
+        cupp::trace::set_recorder(rec::kProfArmed, !subs_.empty() || collector_enabled_);
     }
 
     KernelActivity& find_or_add_locked(std::string_view name,

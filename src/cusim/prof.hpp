@@ -23,18 +23,22 @@
 //                             report (tools/cupp_prof renders it) at exit
 //
 // plus session scoping via the cusimProfilerStart/Stop runtime mirrors and
-// the RAII cupp::prof_session. The disabled fast path is one relaxed
-// atomic load per site, like memcheck and faults.
+// the RAII cupp::prof_session. The callbacks and activity records are fired
+// by each runtime call's op record (src/cusim/op_record.hpp), which reads
+// the profiler's state from the shared recorder word
+// (cupp::trace::recorders()) together with every other recorder's. With
+// every recorder off, a call costs one relaxed load when it opens its
+// record and one per device-side completion (grid, copy, event mark).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cupp/trace.hpp"
 #include "cusim/accounting.hpp"
 #include "cusim/launch.hpp"
 #include "cusim/types.hpp"
@@ -44,35 +48,19 @@ namespace cusim::prof {
 // --- enablement -----------------------------------------------------------
 
 namespace detail {
-/// True while any callback is subscribed or the collector is enabled —
-/// the one gate the API hooks check.
-extern std::atomic<bool> g_armed;
-/// True while the collector is enabled *and* inside a profiling session
-/// (start()ed, not stop()ped) — gates activity recording and the
-/// engine-side shared-access tracking.
-extern std::atomic<bool> g_collecting;
-/// True while correlation ids must be allocated even when the profiler
-/// itself is idle (cusim::timeline shares the id space).
-extern std::atomic<bool> g_correlation_tracking;
 /// The shared CUPTI-style correlation-id counter (next id to hand out).
 extern std::atomic<std::uint64_t> g_next_correlation;
 }  // namespace detail
 
-/// The per-site fast-path gate: one relaxed load when nothing is armed.
+/// True while any callback is subscribed or the collector is enabled.
 [[nodiscard]] inline bool armed() {
-    return detail::g_armed.load(std::memory_order_relaxed);
+    return (cupp::trace::recorders() & cupp::trace::recorder::kProfArmed) != 0;
 }
 
 /// True while kernel activities are being recorded (collector enabled and
 /// session active). The engine's bank-conflict tracking keys off this.
 [[nodiscard]] inline bool collecting() {
-    return detail::g_collecting.load(std::memory_order_relaxed);
-}
-
-/// True while correlation ids are needed by a consumer other than the
-/// profiler (cusim::timeline enables this for its lifetime).
-[[nodiscard]] inline bool correlation_tracking() {
-    return detail::g_correlation_tracking.load(std::memory_order_relaxed);
+    return (cupp::trace::recorders() & cupp::trace::recorder::kProfCollecting) != 0;
 }
 
 /// Allocates the next correlation id (1-based). All instrumented entry
@@ -81,9 +69,6 @@ extern std::atomic<std::uint64_t> g_next_correlation;
     return detail::g_next_correlation.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Turns correlation-id allocation on/off independently of the profiler
-/// (called by cusim::timeline enable/disable).
-void set_correlation_tracking(bool on);
 /// Restarts the correlation-id sequence at 1 (test isolation; both
 /// prof::reset() and timeline::reset() call this).
 void reset_correlation_ids();
@@ -149,54 +134,12 @@ std::uint64_t subscribe(Callback cb);
 /// Drops a subscription; false when the id is unknown.
 bool unsubscribe(std::uint64_t id);
 
-/// Fires every subscribed callback (internal: ApiScope and tests).
+/// Fires every subscribed callback (internal: the op record and tests).
 void dispatch(const ApiRecord& rec);
 /// Bumps the per-api call counter (Enter records only; internal).
 void note_api_enter(Api api);
 /// Enter records seen for one api since reset().
 [[nodiscard]] std::uint64_t api_calls(Api api);
-
-/// RAII entry/exit pair around one runtime call. Constructed *before* the
-/// fault preflight, so an injected failure is observable as a failed Exit.
-/// Costs one relaxed load when the profiler is idle.
-class ApiScope {
-public:
-    ApiScope(Api api, int device, std::uint32_t stream = 0, std::uint64_t bytes = 0,
-             std::string_view label = {})
-        : armed_(armed()) {
-        if (armed_ || correlation_tracking()) corr_ = new_correlation_id();
-        if (!armed_) return;
-        api_ = api;
-        device_ = device;
-        stream_ = stream;
-        bytes_ = bytes;
-        label_ = label;
-        exceptions_ = std::uncaught_exceptions();
-        note_api_enter(api);
-        dispatch(ApiRecord{api, Phase::Enter, device, stream, bytes, label, false,
-                           corr_});
-    }
-    ~ApiScope() {
-        if (!armed_) return;
-        dispatch(ApiRecord{api_, Phase::Exit, device_, stream_, bytes_, label_,
-                           std::uncaught_exceptions() > exceptions_, corr_});
-    }
-    ApiScope(const ApiScope&) = delete;
-    ApiScope& operator=(const ApiScope&) = delete;
-
-    /// The correlation id allocated for this call (0 when nothing needs one).
-    [[nodiscard]] std::uint64_t correlation() const { return corr_; }
-
-private:
-    bool armed_;
-    Api api_ = Api::Malloc;
-    int device_ = -1;
-    std::uint32_t stream_ = 0;
-    std::uint64_t bytes_ = 0;
-    std::string_view label_;
-    std::uint64_t corr_ = 0;
-    int exceptions_ = 0;
-};
 
 // --- the activity aggregator ------------------------------------------------
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 
+#include "cusim/op_record.hpp"
 #include "cusim/registry.hpp"
 
 namespace cusim::rt {
@@ -370,14 +371,14 @@ ErrorCode cusimGraphExecDestroy(GraphExecHandle exec) {
 
 ErrorCode cusimProfilerStart() {
     return guarded([] {
-        prof::ApiScope prof_scope(prof::Api::ProfilerStart, -1);
+        detail::OpRecord op(nullptr, {.api = prof::Api::ProfilerStart});
         prof::start();
     });
 }
 
 ErrorCode cusimProfilerStop() {
     return guarded([] {
-        prof::ApiScope prof_scope(prof::Api::ProfilerStop, -1);
+        detail::OpRecord op(nullptr, {.api = prof::Api::ProfilerStop});
         prof::stop();
     });
 }

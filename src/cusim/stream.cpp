@@ -31,37 +31,13 @@
 
 #include "cusim/memcheck.hpp"
 #include "cusim/multiprocessor.hpp"
-#include "cusim/prof.hpp"
-#include "cusim/report.hpp"
+#include "cusim/op_record.hpp"
 #include "cusim/stream_detail.hpp"
-#include "cusim/timeline.hpp"
 
 namespace cusim {
 
-namespace {
-
+using detail::Copy;
 using detail::StreamOp;
-
-const char* op_label(StreamOp::Kind k) {
-    switch (k) {
-        case StreamOp::Kind::Launch: return "launch";
-        case StreamOp::Kind::CopyH2D: return "memcpy H2D async";
-        case StreamOp::Kind::CopyD2H: return "memcpy D2H async";
-        case StreamOp::Kind::CopyD2D: return "memcpy D2D async";
-        case StreamOp::Kind::Record: return "event record";
-        case StreamOp::Kind::Wait: return "wait event";
-    }
-    return "?";
-}
-
-void count_enqueue() {
-    if (cupp::trace::enabled()) {
-        static const cupp::trace::counter_handle ops("cusim.stream.ops_enqueued");
-        ops.add();
-    }
-}
-
-}  // namespace
 
 Device::Device(DeviceProperties props)
     : props_(std::move(props)), memory_(props_.total_global_mem) {
@@ -80,40 +56,33 @@ detail::StreamTable& Device::stream_table() {
 // --- creation / destruction -------------------------------------------------
 
 StreamId Device::stream_create() {
-    prof::ApiScope prof_scope(prof::Api::StreamCreate, trace_ordinal_);
     // Creating a stream allocates runtime resources; the Malloc site with a
     // recognisable label lets fault plans target it.
-    fault_preflight(faults::Site::Malloc, "stream_create");
+    detail::OpRecord op(this, {.api = prof::Api::StreamCreate,
+                               .site = faults::Site::Malloc,
+                               .fault_label = "stream_create"});
     detail::StreamTable& t = stream_table();
     const StreamId id = t.next_stream++;
     t.streams[id];  // default StreamState: idle, empty queue
-    if (cupp::trace::enabled()) {
-        static const cupp::trace::counter_handle created("cusim.stream.created");
-        created.add();
-        cupp::trace::emit_instant(host_track(), "stream create",
-                                  trace_time_us(host_time_), {{"stream", id}});
-    }
+    op.instant("stream create", "stream", id);
     return id;
 }
 
 void Device::stream_destroy(StreamId stream) {
-    prof::ApiScope prof_scope(prof::Api::StreamDestroy, trace_ordinal_, stream);
-    detail::StreamTable& t = stream_table();
-    auto it = t.streams.find(stream);
-    if (it == t.streams.end()) {
-        throw Error(ErrorCode::InvalidValue, "stream_destroy: unknown stream");
-    }
+    detail::OpRecord op(this, {.api = prof::Api::StreamDestroy, .stream = stream});
+    live_stream(stream, "stream_destroy: unknown stream");
     // cudaStreamDestroy semantics: queued work still completes. Draining is
     // global (the canonical order is device-wide), which executes at least
     // everything this stream needs.
     if (capturing_) capture_violation("stream_destroy during stream capture");
     drain_streams();
-    t.streams.erase(stream);
+    streams_->streams.erase(stream);
 }
 
 EventId Device::event_create() {
-    prof::ApiScope prof_scope(prof::Api::EventCreate, trace_ordinal_);
-    fault_preflight(faults::Site::Malloc, "event_create");
+    detail::OpRecord op(this, {.api = prof::Api::EventCreate,
+                               .site = faults::Site::Malloc,
+                               .fault_label = "event_create"});
     detail::StreamTable& t = stream_table();
     const EventId id = t.next_event++;
     t.events[id];
@@ -121,7 +90,7 @@ EventId Device::event_create() {
 }
 
 void Device::event_destroy(EventId event) {
-    prof::ApiScope prof_scope(prof::Api::EventDestroy, trace_ordinal_);
+    detail::OpRecord op(this, {.api = prof::Api::EventDestroy});
     detail::StreamTable& t = stream_table();
     if (t.events.erase(event) == 0) {
         throw Error(ErrorCode::InvalidValue, "event_destroy: unknown event");
@@ -137,63 +106,53 @@ void Device::launch_async(const LaunchConfig& cfg, const KernelEntry& entry,
     launch_async(cfg, KernelSpec(entry), name, stream);
 }
 
+detail::StreamState& Device::live_stream(StreamId stream, const char* what) {
+    detail::StreamTable& t = stream_table();
+    const auto it = t.streams.find(stream);
+    if (it == t.streams.end()) throw Error(ErrorCode::InvalidValue, what);
+    return it->second;
+}
+
+std::uint64_t Device::enqueue(const detail::OpRecord& rec, StreamId sid,
+                              detail::StreamState& st, StreamOp op) {
+    if (capturing_ && capture_op(op, sid)) return 0;
+    op.seq = streams_->next_seq++;
+    op.issue_host_time = host_time_;
+    op.corr = rec.correlation();
+    if (op.kind != StreamOp::Kind::Wait) op.tl_anchor = rec.anchor();
+    st.pending.push_back(std::move(op));
+    rec.enqueued(st.pending.back());
+    return st.pending.back().seq;
+}
+
 void Device::launch_async(const LaunchConfig& cfg, KernelSpec spec,
                           std::string_view name, StreamId stream) {
     if (stream == kDefaultStream) {
         (void)launch(cfg, std::move(spec), name);
         return;
     }
-    prof::ApiScope prof_scope(prof::Api::LaunchAsync, trace_ordinal_, stream, 0, name);
-    timeline::FailScope tl_fail(trace_ordinal_, stream, timeline::Category::Kernel,
-                                name, 0, prof_scope.correlation(),
-                                tl_abs(host_time_));
+    detail::OpRecord op(this, {.api = prof::Api::LaunchAsync,
+                               .stream = stream,
+                               .label = name,
+                               .category = timeline::Category::Kernel,
+                               .node = name});
     // Same atomic-rejection contract as launch(): preflight and validation
     // happen at enqueue, before anything is queued, so an injected failure
     // leaves no half-enqueued op and a retry is clean.
-    const std::string label = "async " + (name.empty() ? std::string("kernel")
-                                                       : std::string(name));
-    fault_preflight(faults::Site::Launch, label);
+    op.preflight(faults::Site::Launch, detail::kernel_label(name), "async ");
     cfg.validate();
     (void)blocks_per_mp(props_.cost, cfg);
-
-    detail::StreamTable& t = stream_table();
-    auto it = t.streams.find(stream);
-    if (it == t.streams.end()) {
-        throw Error(ErrorCode::InvalidValue, "launch_async: unknown stream");
-    }
-    StreamOp op;
-    op.kind = StreamOp::Kind::Launch;
-    op.cfg = cfg;
-    op.entry = std::move(spec);
-    op.name = name.empty() ? std::string("kernel") : std::string(name);
-    if (capturing_ && capture_op(op, stream)) return;
-    op.seq = t.next_seq++;
-    op.issue_host_time = host_time_;
-    op.corr = prof_scope.correlation();
-    if (timeline::enabled()) {
-        op.tl_anchor = timeline::anchor_host(trace_ordinal_, tl_abs(host_time_));
-    }
-    it->second.pending.push_back(std::move(op));
-
+    detail::StreamState& st = live_stream(stream, "launch_async: unknown stream");
+    StreamOp o;
+    o.kind = StreamOp::Kind::Launch;
+    o.cfg = cfg;
+    o.entry = std::move(spec);
+    o.name = std::string(detail::kernel_label(name));
+    if (enqueue(op, stream, st, std::move(o)) == 0) return;
     // The host pays only the issue overhead, exactly like a legacy launch.
     const double t0 = host_time_;
     host_time_ += props_.cost.launch_overhead_s;
-    if (timeline::enabled()) {
-        timeline::host_op(trace_ordinal_, timeline::Category::Host,
-                          "launch " + it->second.pending.back().name + " (s" +
-                              std::to_string(stream) + ")",
-                          0, prof_scope.correlation(), tl_abs(t0),
-                          tl_abs(host_time_));
-    }
-    if (cupp::trace::enabled()) {
-        cupp::trace::emit_complete(host_track(),
-                                   "launch " + it->second.pending.back().name +
-                                       " (s" + std::to_string(stream) + ")",
-                                   trace_time_us(t0),
-                                   props_.cost.launch_overhead_s * 1e6,
-                                   {{"stream", stream}});
-    }
-    count_enqueue();
+    op.issued(t0);
 }
 
 void Device::memcpy_to_device_async(DeviceAddr dst, const void* src,
@@ -202,43 +161,22 @@ void Device::memcpy_to_device_async(DeviceAddr dst, const void* src,
         copy_to_device(dst, src, bytes);
         return;
     }
-    prof::ApiScope prof_scope(prof::Api::MemcpyH2DAsync, trace_ordinal_, stream, bytes);
-    timeline::FailScope tl_fail(trace_ordinal_, stream,
-                                timeline::Category::MemcpyH2D, "memcpy H2D async",
-                                bytes, prof_scope.correlation(), tl_abs(host_time_));
-    fault_preflight(faults::Site::MemcpyH2D, "async");
+    detail::OpRecord op(this, detail::copy_op(Copy::H2D, stream, bytes));
     if (src == nullptr) throw Error(ErrorCode::InvalidValue, "null async H2D source");
     if (!memory_.range_valid(dst, bytes)) {
         throw Error(ErrorCode::InvalidDevicePointer,
                     "async H2D outside any allocation");
     }
-    detail::StreamTable& t = stream_table();
-    auto it = t.streams.find(stream);
-    if (it == t.streams.end()) {
-        throw Error(ErrorCode::InvalidValue, "memcpy_to_device_async: unknown stream");
-    }
-    StreamOp op;
-    op.kind = StreamOp::Kind::CopyH2D;
-    op.dst = dst;
-    op.bytes = bytes;
+    detail::StreamState& st = live_stream(stream, "memcpy_to_device_async: unknown stream");
+    StreamOp o;
+    o.kind = StreamOp::Kind::CopyH2D;
+    o.dst = dst;
+    o.bytes = bytes;
     // Pageable-memory semantics: snapshot now, so host writes to `src`
     // after this call never leak into the copy.
     const auto* p = static_cast<const std::byte*>(src);
-    op.staged.assign(p, p + bytes);
-    if (capturing_ && capture_op(op, stream)) return;
-    op.seq = t.next_seq++;
-    op.issue_host_time = host_time_;
-    op.corr = prof_scope.correlation();
-    if (timeline::enabled()) {
-        op.tl_anchor = timeline::anchor_host(trace_ordinal_, tl_abs(host_time_));
-    }
-    it->second.pending.push_back(std::move(op));
-    if (cupp::trace::enabled()) {
-        cupp::trace::emit_instant(
-            host_track(), "enqueue H2D (s" + std::to_string(stream) + ")",
-            trace_time_us(host_time_), {{"bytes", bytes}, {"stream", stream}});
-    }
-    count_enqueue();
+    o.staged.assign(p, p + bytes);
+    enqueue(op, stream, st, std::move(o));
 }
 
 void Device::memcpy_to_host_async(void* dst, DeviceAddr src, std::uint64_t bytes,
@@ -247,48 +185,27 @@ void Device::memcpy_to_host_async(void* dst, DeviceAddr src, std::uint64_t bytes
         copy_to_host(dst, src, bytes);
         return;
     }
-    prof::ApiScope prof_scope(prof::Api::MemcpyD2HAsync, trace_ordinal_, stream, bytes);
-    timeline::FailScope tl_fail(trace_ordinal_, stream,
-                                timeline::Category::MemcpyD2H, "memcpy D2H async",
-                                bytes, prof_scope.correlation(), tl_abs(host_time_));
-    fault_preflight(faults::Site::MemcpyD2H, "async");
+    detail::OpRecord op(this, detail::copy_op(Copy::D2H, stream, bytes));
     if (dst == nullptr) throw Error(ErrorCode::InvalidValue, "null async D2H destination");
     if (!memory_.range_valid(src, bytes)) {
         throw Error(ErrorCode::InvalidDevicePointer,
                     "async D2H outside any allocation");
     }
-    detail::StreamTable& t = stream_table();
-    auto it = t.streams.find(stream);
-    if (it == t.streams.end()) {
-        throw Error(ErrorCode::InvalidValue, "memcpy_to_host_async: unknown stream");
-    }
-    StreamOp op;
-    op.kind = StreamOp::Kind::CopyD2H;
-    op.src = src;
-    op.bytes = bytes;
-    op.host_dst = dst;
-    if (capturing_ && capture_op(op, stream)) return;
-    op.seq = t.next_seq++;
-    op.issue_host_time = host_time_;
-    if (memcheck::enabled()) {
+    detail::StreamState& st = live_stream(stream, "memcpy_to_host_async: unknown stream");
+    StreamOp o;
+    o.kind = StreamOp::Kind::CopyD2H;
+    o.src = src;
+    o.bytes = bytes;
+    o.host_dst = dst;
+    const std::uint64_t seq = enqueue(op, stream, st, std::move(o));
+    if (seq != 0 && memcheck::enabled()) {
         detail::PendingHostWrite w;
         w.begin = static_cast<const std::byte*>(dst);
         w.end = w.begin + bytes;
         w.stream = stream;
-        w.seq = op.seq;
-        t.host_writes.push_back(w);
+        w.seq = seq;
+        streams_->host_writes.push_back(w);
     }
-    op.corr = prof_scope.correlation();
-    if (timeline::enabled()) {
-        op.tl_anchor = timeline::anchor_host(trace_ordinal_, tl_abs(host_time_));
-    }
-    it->second.pending.push_back(std::move(op));
-    if (cupp::trace::enabled()) {
-        cupp::trace::emit_instant(
-            host_track(), "enqueue D2H (s" + std::to_string(stream) + ")",
-            trace_time_us(host_time_), {{"bytes", bytes}, {"stream", stream}});
-    }
-    count_enqueue();
 }
 
 void Device::memcpy_device_to_device_async(DeviceAddr dst, DeviceAddr src,
@@ -297,42 +214,26 @@ void Device::memcpy_device_to_device_async(DeviceAddr dst, DeviceAddr src,
         copy_device_to_device(dst, src, bytes);
         return;
     }
-    prof::ApiScope prof_scope(prof::Api::MemcpyD2DAsync, trace_ordinal_, stream, bytes);
-    timeline::FailScope tl_fail(trace_ordinal_, stream,
-                                timeline::Category::MemcpyD2D, "memcpy D2D async",
-                                bytes, prof_scope.correlation(), tl_abs(host_time_));
-    fault_preflight(faults::Site::MemcpyD2D, "async");
+    detail::OpRecord op(this, detail::copy_op(Copy::D2D, stream, bytes));
     if (!memory_.range_valid(src, bytes) || !memory_.range_valid(dst, bytes)) {
         throw Error(ErrorCode::InvalidDevicePointer,
                     "async D2D outside any allocation");
     }
-    detail::StreamTable& t = stream_table();
-    auto it = t.streams.find(stream);
-    if (it == t.streams.end()) {
-        throw Error(ErrorCode::InvalidValue,
-                    "memcpy_device_to_device_async: unknown stream");
-    }
-    StreamOp op;
-    op.kind = StreamOp::Kind::CopyD2D;
-    op.dst = dst;
-    op.src = src;
-    op.bytes = bytes;
-    if (capturing_ && capture_op(op, stream)) return;
-    op.seq = t.next_seq++;
-    op.issue_host_time = host_time_;
-    op.corr = prof_scope.correlation();
-    if (timeline::enabled()) {
-        op.tl_anchor = timeline::anchor_host(trace_ordinal_, tl_abs(host_time_));
-    }
-    it->second.pending.push_back(std::move(op));
-    count_enqueue();
+    detail::StreamState& st =
+        live_stream(stream, "memcpy_device_to_device_async: unknown stream");
+    StreamOp o;
+    o.kind = StreamOp::Kind::CopyD2D;
+    o.dst = dst;
+    o.src = src;
+    o.bytes = bytes;
+    enqueue(op, stream, st, std::move(o));
 }
 
 void Device::event_record(EventId event, StreamId stream) {
-    prof::ApiScope prof_scope(prof::Api::EventRecord, trace_ordinal_, stream);
-    timeline::FailScope tl_fail(trace_ordinal_, stream,
-                                timeline::Category::EventRecord, "event record", 0,
-                                prof_scope.correlation(), tl_abs(host_time_));
+    detail::OpRecord op(this, {.api = prof::Api::EventRecord,
+                               .stream = stream,
+                               .category = timeline::Category::EventRecord,
+                               .node = "event record"});
     detail::StreamTable& t = stream_table();
     auto ev = t.events.find(event);
     if (ev == t.events.end()) {
@@ -345,49 +246,25 @@ void Device::event_record(EventId event, StreamId stream) {
         ev->second.time = std::max(host_time_, device_free_at_);
         ev->second.last_record_seq = seq;
         ev->second.completed_seq = seq;
-        if (timeline::enabled()) {
-            const double done = ev->second.time;
-            const std::uint64_t anchor =
-                host_time_ >= device_free_at_
-                    ? timeline::anchor_host(trace_ordinal_, tl_abs(done))
-                    : 0;
-            const std::uint64_t node = timeline::device_op(
-                trace_ordinal_, timeline::Category::EventRecord, "event record",
-                0, prof_scope.correlation(), tl_abs(done), tl_abs(done), anchor);
-            timeline::register_event_record(trace_ordinal_, event, node);
-        }
+        complete_mark(timeline::Category::EventRecord, kDefaultStream, event,
+                      op.correlation(), ev->second.time, 0, true);
         return;
     }
-    auto it = t.streams.find(stream);
-    if (it == t.streams.end()) {
-        throw Error(ErrorCode::InvalidValue, "event_record: unknown stream");
-    }
-    StreamOp op;
-    op.kind = StreamOp::Kind::Record;
-    op.event = event;
+    detail::StreamState& st = live_stream(stream, "event_record: unknown stream");
+    StreamOp o;
+    o.kind = StreamOp::Kind::Record;
+    o.event = event;
     // A captured record never touches EventState: the event's live record
     // chain is only updated when the graph replays.
-    if (capturing_ && capture_op(op, stream)) return;
-    op.seq = t.next_seq++;
-    op.issue_host_time = host_time_;
-    op.corr = prof_scope.correlation();
-    if (timeline::enabled()) {
-        op.tl_anchor = timeline::anchor_host(trace_ordinal_, tl_abs(host_time_));
-    }
-    ev->second.last_record_seq = op.seq;
-    it->second.pending.push_back(std::move(op));
-    if (cupp::trace::enabled()) {
-        static const cupp::trace::counter_handle recs("cusim.stream.events_recorded");
-        recs.add();
-    }
-    count_enqueue();
+    const std::uint64_t seq = enqueue(op, stream, st, std::move(o));
+    if (seq != 0) ev->second.last_record_seq = seq;
 }
 
 void Device::stream_wait_event(StreamId stream, EventId event) {
-    prof::ApiScope prof_scope(prof::Api::StreamWaitEvent, trace_ordinal_, stream);
-    timeline::FailScope tl_fail(trace_ordinal_, stream,
-                                timeline::Category::EventWait, "wait event", 0,
-                                prof_scope.correlation(), tl_abs(host_time_));
+    detail::OpRecord op(this, {.api = prof::Api::StreamWaitEvent,
+                               .stream = stream,
+                               .category = timeline::Category::EventWait,
+                               .node = "wait event"});
     detail::StreamTable& t = stream_table();
     auto ev = t.events.find(event);
     if (ev == t.events.end()) {
@@ -398,39 +275,24 @@ void Device::stream_wait_event(StreamId stream, EventId event) {
         // push the device-wide horizon past the recorded point.
         join_streams();
         device_free_at_ = std::max(device_free_at_, ev->second.time);
-        if (timeline::enabled() && ev->second.last_record_seq != 0) {
-            timeline::device_op(
-                trace_ordinal_, timeline::Category::EventWait, "wait event", 0,
-                prof_scope.correlation(), tl_abs(device_free_at_),
-                tl_abs(device_free_at_),
-                timeline::event_record_node(trace_ordinal_, event));
+        if (ev->second.last_record_seq != 0) {
+            complete_mark(timeline::Category::EventWait, kDefaultStream, event,
+                          op.correlation(), device_free_at_, 0, false);
         }
         return;
     }
-    auto it = t.streams.find(stream);
-    if (it == t.streams.end()) {
-        throw Error(ErrorCode::InvalidValue, "stream_wait_event: unknown stream");
-    }
-    StreamOp op;
-    op.kind = StreamOp::Kind::Wait;
-    op.event = event;
-    // Capture resolves the wait against the *captured* record chain
+    detail::StreamState& st = live_stream(stream, "stream_wait_event: unknown stream");
+    StreamOp o;
+    o.kind = StreamOp::Kind::Wait;
+    o.event = event;
+    // CUDA captures the event's *current* record; a later re-record does not
+    // move this wait. An unrecorded event makes the wait a no-op. Capture
+    // instead resolves the wait against the *captured* record chain
     // (becoming a graph edge, or a no-op for pre-capture records) and can
     // pull an uncaptured stream into the capture — see capture_op().
-    if (capturing_ && capture_op(op, stream)) return;
-    op.seq = t.next_seq++;
-    op.issue_host_time = host_time_;
-    // CUDA captures the event's *current* record; a later re-record does not
-    // move this wait. An unrecorded event makes the wait a no-op.
-    op.wait_target_seq = ev->second.last_record_seq;
-    op.wait_has_target = ev->second.last_record_seq != 0;
-    op.corr = prof_scope.correlation();
-    it->second.pending.push_back(std::move(op));
-    if (cupp::trace::enabled()) {
-        static const cupp::trace::counter_handle waits("cusim.stream.wait_events");
-        waits.add();
-    }
-    count_enqueue();
+    o.wait_target_seq = ev->second.last_record_seq;
+    o.wait_has_target = ev->second.last_record_seq != 0;
+    enqueue(op, stream, st, std::move(o));
 }
 
 // --- the drain (canonical execution order) ----------------------------------
@@ -444,135 +306,43 @@ bool Device::op_ready(const detail::StreamOp& op) const {
 
 void Device::execute_op(StreamId sid, detail::StreamState& st, detail::StreamOp& op) {
     detail::StreamTable& t = *streams_;
-    const bool tracing = cupp::trace::enabled();
+    // Nothing starts before its lane is free and the host has issued it.
+    const double start = std::max(st.free_at, op.issue_host_time);
     switch (op.kind) {
-        case StreamOp::Kind::Launch: {
-            // Same attribution as Device::launch, but to the stream's lane —
+        case StreamOp::Kind::Launch:
+            // Same accounting as Device::launch, but on the stream's lane —
             // per-stream clocks stay the profiler's time base.
-            const bool profiling = prof::collecting();
-            const double wall0 = profiling ? cupp::trace::wall_clock_us() : 0.0;
-            const LaunchStats stats = run_grid(op.cfg, op.entry, op.name);
-            if (profiling) {
-                prof::record_launch(op.name, op.cfg, stats, stream_track(sid),
-                                    trace_ordinal_,
-                                    (cupp::trace::wall_clock_us() - wall0) * 1e-6,
-                                    props_.cost);
-            }
-            const double start = std::max(st.free_at, op.issue_host_time);
-            st.free_at = start + stats.device_seconds;
-            last_launch_ = stats;
-            ++launch_count_;
-            record_launch(op.name, stats, start, st.free_at);
-            if (timeline::enabled()) {
-                timeline::stream_op(trace_ordinal_, sid, timeline::Category::Kernel,
-                                    op.name, 0, op.corr, tl_abs(start),
-                                    tl_abs(st.free_at), op.tl_anchor);
-            }
-            if (tracing) {
-                cupp::trace::emit_complete(
-                    stream_track(sid), op.name, trace_time_us(start),
-                    stats.device_seconds * 1e6,
-                    {{"stream", sid},
-                     {"blocks", stats.blocks},
-                     {"threads", stats.threads},
-                     {"threads_per_block", stats.threads_per_block},
-                     {"warps", stats.warps},
-                     {"compute_cycles", stats.compute_cycles},
-                     {"stall_cycles", stats.stall_cycles},
-                     {"bytes_read", stats.bytes_read},
-                     {"bytes_written", stats.bytes_written},
-                     {"divergent_events", stats.divergent_events},
-                     {"branch_evaluations", stats.branch_evaluations},
-                     {"syncthreads", stats.syncthreads_count},
-                     {"resident_blocks_per_mp", stats.resident_blocks_per_mp},
-                     {"bound_by", to_string(bound_by(stats, props_.cost))}});
-                static const cupp::trace::counter_handle launches(
-                    "cusim.stream.kernel_launches");
-                launches.add();
-            }
+            complete_kernel(op.cfg, op.entry, op.name, sid, st.free_at, op.issue_host_time,
+                            op.corr, op.tl_anchor);
             break;
-        }
         case StreamOp::Kind::CopyH2D: {
-            const double start = std::max(st.free_at, op.issue_host_time);
-            const double secs =
-                props_.cost.transfer_latency_s +
-                static_cast<double>(op.bytes) / props_.cost.pcie_bandwidth_bytes_per_s;
+            const double secs = pcie_seconds(op.bytes);
             st.free_at = start + secs;
             memory_.write(op.dst, op.staged.data(), op.bytes);
             bytes_to_device_ += op.bytes;
-            if (prof::collecting()) {
-                prof::record_transfer(CopyKind::HostToDevice, op.bytes, secs,
-                                      trace_ordinal_);
-            }
-            if (timeline::enabled()) {
-                timeline::stream_op(trace_ordinal_, sid,
-                                    timeline::Category::MemcpyH2D, op_label(op.kind),
-                                    op.bytes, op.corr, tl_abs(start),
-                                    tl_abs(st.free_at), op.tl_anchor);
-            }
-            if (tracing) {
-                cupp::trace::emit_complete(stream_track(sid), op_label(op.kind),
-                                           trace_time_us(start), secs * 1e6,
-                                           {{"bytes", op.bytes}, {"kind", "H2D"}});
-                static const cupp::trace::counter_handle h2d("cusim.stream.bytes_h2d");
-                h2d.add(op.bytes);
-            }
+            complete_copy(Copy::H2D, sid, op.bytes, op.corr, start, secs, 0.0, op.tl_anchor);
             break;
         }
         case StreamOp::Kind::CopyD2H: {
-            const double start = std::max(st.free_at, op.issue_host_time);
-            const double secs =
-                props_.cost.transfer_latency_s +
-                static_cast<double>(op.bytes) / props_.cost.pcie_bandwidth_bytes_per_s;
+            const double secs = pcie_seconds(op.bytes);
             st.free_at = start + secs;
             memory_.read(op.src, op.host_dst, op.bytes);
             bytes_to_host_ += op.bytes;
-            if (prof::collecting()) {
-                prof::record_transfer(CopyKind::DeviceToHost, op.bytes, secs,
-                                      trace_ordinal_);
-            }
-            if (timeline::enabled()) {
-                timeline::stream_op(trace_ordinal_, sid,
-                                    timeline::Category::MemcpyD2H, op_label(op.kind),
-                                    op.bytes, op.corr, tl_abs(start),
-                                    tl_abs(st.free_at), op.tl_anchor);
-            }
             for (detail::PendingHostWrite& w : t.host_writes) {
                 if (w.seq == op.seq) {
                     w.drained = true;
                     w.complete_at = st.free_at;
                 }
             }
-            if (tracing) {
-                cupp::trace::emit_complete(stream_track(sid), op_label(op.kind),
-                                           trace_time_us(start), secs * 1e6,
-                                           {{"bytes", op.bytes}, {"kind", "D2H"}});
-                static const cupp::trace::counter_handle d2h("cusim.stream.bytes_d2h");
-                d2h.add(op.bytes);
-            }
+            complete_copy(Copy::D2H, sid, op.bytes, op.corr, start, secs, 0.0, op.tl_anchor);
             break;
         }
         case StreamOp::Kind::CopyD2D: {
-            const double start = std::max(st.free_at, op.issue_host_time);
             const double secs = static_cast<double>(op.bytes) /
                                 props_.cost.mem_bandwidth_bytes_per_s;
             st.free_at = start + secs;
             memory_.copy(op.dst, op.src, op.bytes);
-            if (prof::collecting()) {
-                prof::record_transfer(CopyKind::DeviceToDevice, op.bytes, secs,
-                                      trace_ordinal_);
-            }
-            if (timeline::enabled()) {
-                timeline::stream_op(trace_ordinal_, sid,
-                                    timeline::Category::MemcpyD2D, op_label(op.kind),
-                                    op.bytes, op.corr, tl_abs(start),
-                                    tl_abs(st.free_at), op.tl_anchor);
-            }
-            if (tracing) {
-                cupp::trace::emit_complete(stream_track(sid), op_label(op.kind),
-                                           trace_time_us(start), secs * 1e6,
-                                           {{"bytes", op.bytes}, {"kind", "D2D"}});
-            }
+            complete_copy(Copy::D2D, sid, op.bytes, op.corr, start, secs, 0.0, op.tl_anchor);
             break;
         }
         case StreamOp::Kind::Record: {
@@ -584,29 +354,13 @@ void Device::execute_op(StreamId sid, detail::StreamState& st, detail::StreamOp&
                 // *older* record (lower enqueue seq) after a newer one — the
                 // newest record must win, or a wait targeting it would spin
                 // on a regressed completed_seq.
-                const double done = std::max(st.free_at, op.issue_host_time);
                 const bool newest = op.seq >= ev->second.completed_seq;
                 if (newest) {
-                    ev->second.time = done;
+                    ev->second.time = start;
                     ev->second.completed_seq = op.seq;
                 }
-                if (timeline::enabled()) {
-                    const std::uint64_t node = timeline::stream_op(
-                        trace_ordinal_, sid, timeline::Category::EventRecord,
-                        "event record", 0, op.corr, tl_abs(done), tl_abs(done),
-                        op.tl_anchor);
-                    // Mirrors EventState::time: waits edge to the record
-                    // that actually defines the event's completion point.
-                    if (newest) {
-                        timeline::register_event_record(trace_ordinal_, op.event,
-                                                        node);
-                    }
-                }
-                if (tracing) {
-                    cupp::trace::emit_instant(stream_track(sid), "event record",
-                                              trace_time_us(done),
-                                              {{"event", op.event}});
-                }
+                complete_mark(timeline::Category::EventRecord, sid, op.event, op.corr, start,
+                              op.tl_anchor, newest);
             }
             break;
         }
@@ -614,15 +368,8 @@ void Device::execute_op(StreamId sid, detail::StreamState& st, detail::StreamOp&
             auto ev = t.events.find(op.event);
             if (ev != t.events.end() && op.wait_has_target) {
                 st.free_at = std::max(st.free_at, ev->second.time);
-                if (timeline::enabled()) {
-                    // Cross-stream edge: the wait point depends on the event's
-                    // defining record (and the stream FIFO, via the tail).
-                    timeline::stream_op(
-                        trace_ordinal_, sid, timeline::Category::EventWait,
-                        "wait event", 0, op.corr, tl_abs(st.free_at),
-                        tl_abs(st.free_at),
-                        timeline::event_record_node(trace_ordinal_, op.event));
-                }
+                complete_mark(timeline::Category::EventWait, sid, op.event, op.corr,
+                              st.free_at, 0, false);
             }
             break;
         }
@@ -663,10 +410,7 @@ void Device::join_streams_slow() {
             device_free_at_ = st.free_at;
             // The stream that pushed the device-wide horizon becomes the
             // node later default-stream work FIFO-orders behind.
-            if (timeline::enabled()) {
-                timeline::set_device_tail(
-                    trace_ordinal_, timeline::stream_tail(trace_ordinal_, sid));
-            }
+            fold_stream_tail(sid);
         }
     }
 }
@@ -690,25 +434,17 @@ void Device::stream_synchronize(StreamId stream) {
         synchronize();
         return;
     }
-    prof::ApiScope prof_scope(prof::Api::StreamSynchronize, trace_ordinal_, stream);
-    timeline::FailScope tl_fail(trace_ordinal_, stream, timeline::Category::Sync,
-                                "stream synchronize", 0, prof_scope.correlation(),
-                                tl_abs(host_time_));
+    detail::OpRecord op(this, {.api = prof::Api::StreamSynchronize,
+                               .stream = stream,
+                               .category = timeline::Category::Sync,
+                               .node = "stream synchronize"});
     if (capturing_) capture_violation("stream_synchronize during stream capture");
-    fault_preflight(faults::Site::Sync, "stream");
-    detail::StreamTable& t = stream_table();
-    auto it = t.streams.find(stream);
-    if (it == t.streams.end()) {
-        throw Error(ErrorCode::InvalidValue, "stream_synchronize: unknown stream");
-    }
+    op.preflight(faults::Site::Sync, "stream");
+    const detail::StreamState& st = live_stream(stream, "stream_synchronize: unknown stream");
     drain_streams();
-    host_time_ = std::max(host_time_, it->second.free_at);
+    host_time_ = std::max(host_time_, st.free_at);
     prune_completed_async();
-    if (timeline::enabled()) {
-        timeline::host_sync(trace_ordinal_, "stream synchronize",
-                            prof_scope.correlation(), tl_abs(host_time_),
-                            timeline::stream_tail(trace_ordinal_, stream));
-    }
+    op.synced();
 }
 
 bool Device::event_query(EventId event) const {
@@ -725,12 +461,11 @@ bool Device::event_query(EventId event) const {
 }
 
 void Device::event_synchronize(EventId event) {
-    prof::ApiScope prof_scope(prof::Api::EventSynchronize, trace_ordinal_);
-    timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::Sync,
-                                "event synchronize", 0, prof_scope.correlation(),
-                                tl_abs(host_time_));
+    detail::OpRecord op(this, {.api = prof::Api::EventSynchronize,
+                               .category = timeline::Category::Sync,
+                               .node = "event synchronize"});
     if (capturing_) capture_violation("event_synchronize during stream capture");
-    fault_preflight(faults::Site::Sync, "event");
+    op.preflight(faults::Site::Sync, "event");
     detail::StreamTable& t = stream_table();
     auto it = t.events.find(event);
     if (it == t.events.end()) {
@@ -739,11 +474,7 @@ void Device::event_synchronize(EventId event) {
     drain_streams();
     host_time_ = std::max(host_time_, it->second.time);
     prune_completed_async();
-    if (timeline::enabled()) {
-        timeline::host_sync(trace_ordinal_, "event synchronize",
-                            prof_scope.correlation(), tl_abs(host_time_),
-                            timeline::event_record_node(trace_ordinal_, event));
-    }
+    op.synced(event);
 }
 
 double Device::event_elapsed_ms(EventId start, EventId stop) {

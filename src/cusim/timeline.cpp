@@ -11,10 +11,6 @@
 
 namespace cusim::timeline {
 
-namespace detail {
-std::atomic<bool> g_enabled{false};
-}  // namespace detail
-
 namespace {
 
 using cupp::trace::format;
@@ -43,20 +39,17 @@ public:
     void enable(std::string path) {
         std::lock_guard<std::mutex> lock(mu_);
         if (!path.empty()) report_path_ = std::move(path);
-        detail::g_enabled.store(true, std::memory_order_relaxed);
-        prof::set_correlation_tracking(true);
+        cupp::trace::set_recorder(cupp::trace::recorder::kTimeline, true);
     }
 
     void disable() {
         std::lock_guard<std::mutex> lock(mu_);
-        detail::g_enabled.store(false, std::memory_order_relaxed);
-        prof::set_correlation_tracking(false);
+        cupp::trace::set_recorder(cupp::trace::recorder::kTimeline, false);
     }
 
     void clear() {
         std::lock_guard<std::mutex> lock(mu_);
-        detail::g_enabled.store(false, std::memory_order_relaxed);
-        prof::set_correlation_tracking(false);
+        cupp::trace::set_recorder(cupp::trace::recorder::kTimeline, false);
         nodes_.clear();
         devices_.clear();
         report_path_.clear();

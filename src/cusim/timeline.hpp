@@ -42,29 +42,30 @@
 // bit-identical across CUPP_SIM_THREADS and engine configurations. A
 // fault-rejected enqueue is recorded as a `failed` node that contributes
 // no edges, no busy time, and never appears on the critical path. The
-// disabled fast path is one relaxed atomic load per site.
+// runtime calls reach these hooks through their op record
+// (src/cusim/op_record.hpp), which reads this recorder's state from the
+// shared recorder word (cupp::trace::recorders()) together with every
+// other recorder's. With every recorder off, a call costs one relaxed load
+// when it opens its record and one per device-side completion (grid, copy,
+// event mark).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "cupp/trace.hpp"
+
 namespace cusim::timeline {
 
 // --- enablement -------------------------------------------------------------
 
-namespace detail {
-extern std::atomic<bool> g_enabled;
-}  // namespace detail
-
-/// The per-site fast-path gate: one relaxed load when recording is off.
+/// True while recording.
 [[nodiscard]] inline bool enabled() {
-    return detail::g_enabled.load(std::memory_order_relaxed);
+    return (cupp::trace::recorders() & cupp::trace::recorder::kTimeline) != 0;
 }
 
 /// Enables recording, in memory only.
@@ -187,46 +188,6 @@ void set_device_tail(int device, std::uint64_t node);
 /// mirroring EventState::time (waits and event_synchronize edges).
 void register_event_record(int device, std::uint64_t event, std::uint64_t node);
 [[nodiscard]] std::uint64_t event_record_node(int device, std::uint64_t event);
-
-/// RAII guard that records a failed node when the guarded runtime call
-/// unwinds via exception (fault preflight / validation rejection).
-/// Constructed after the prof::ApiScope so it can carry the same
-/// correlation id. Costs one relaxed load when recording is off.
-class FailScope {
-public:
-    FailScope(int device, std::uint32_t stream, Category cat,
-              std::string_view name, std::uint64_t bytes,
-              std::uint64_t correlation, double t)
-        : armed_(enabled()) {
-        if (!armed_) return;
-        device_ = device;
-        stream_ = stream;
-        cat_ = cat;
-        name_ = name;
-        bytes_ = bytes;
-        correlation_ = correlation;
-        t_ = t;
-        exceptions_ = std::uncaught_exceptions();
-    }
-    ~FailScope() {
-        if (armed_ && std::uncaught_exceptions() > exceptions_) {
-            failed_op(device_, stream_, cat_, name_, bytes_, correlation_, t_);
-        }
-    }
-    FailScope(const FailScope&) = delete;
-    FailScope& operator=(const FailScope&) = delete;
-
-private:
-    bool armed_;
-    int device_ = 0;
-    std::uint32_t stream_ = 0;
-    Category cat_ = Category::Kernel;
-    std::string_view name_;
-    std::uint64_t bytes_ = 0;
-    std::uint64_t correlation_ = 0;
-    double t_ = 0.0;
-    int exceptions_ = 0;
-};
 
 // --- analysis & report -------------------------------------------------------
 

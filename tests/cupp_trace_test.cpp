@@ -158,9 +158,14 @@ TEST_F(TraceTest, DisabledMeansNothingRecorded) {
 
 // --- §4.6 lazy-copy counters ----------------------------------------------
 
+/// Doubles in unsigned arithmetic: LaunchHistoryIsBounded doubles its
+/// element 70 times, far past INT_MAX, and an unsigned product wraps where
+/// a signed one would overflow (C++20 defines the conversion back to int).
 KernelTask double_all(ThreadCtx& ctx, cupp::deviceT::vector<int>& v) {
     const std::uint64_t gid = ctx.global_id();
-    if (gid < v.size()) v.write(ctx, gid, v.read(ctx, gid) * 2);
+    if (gid < v.size()) {
+        v.write(ctx, gid, static_cast<int>(static_cast<unsigned>(v.read(ctx, gid)) * 2u));
+    }
     co_return;
 }
 using MutK = KernelTask (*)(ThreadCtx&, cupp::deviceT::vector<int>&);

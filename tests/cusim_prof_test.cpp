@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "cupp/cupp.hpp"
 #include "cupp/detail/minijson.hpp"
 #include "cusim/cusim.hpp"
+#include "cusim/timeline.hpp"
 
 namespace {
 
@@ -241,6 +244,190 @@ TEST_F(ProfTest, InjectedLaunchFaultLeavesNoHalfRecordedActivity) {
     ASSERT_EQ(activities.size(), 1u);
     EXPECT_EQ(activities[0].launches, 1u);
     EXPECT_GT(activities[0].device_seconds, 0.0);
+}
+
+// --- the per-op contract ----------------------------------------------------
+
+/// Device state every entry point in the contract table can run against:
+/// live allocations, two streams, an event recorded on the first, and a
+/// captured one-kernel graph with its exec — all built before any recorder
+/// or fault rule is armed, so only the op under test is observed.
+struct OpBench {
+    Device dev{cusim::tiny_properties()};
+    cusim::DevicePtr<float> buf;
+    cusim::DevicePtr<float> other;
+    cusim::DevicePtr<float> spare;
+    cusim::ConstantPtr<float> cbuf;
+    std::vector<float> host = std::vector<float>(64, 1.0f);
+    cusim::StreamId s1 = 0;
+    cusim::StreamId s2 = 0;
+    cusim::EventId ev = 0;
+    cusim::Graph graph;
+    cusim::GraphExec exec;
+
+    OpBench() {
+        buf = dev.malloc_n<float>(64);
+        other = dev.malloc_n<float>(64);
+        spare = dev.malloc_n<float>(64);
+        cbuf = dev.malloc_constant<float>(64);
+        dev.upload(buf, std::span<const float>(host));
+        dev.upload(other, std::span<const float>(host));
+        s1 = dev.stream_create();
+        s2 = dev.stream_create();
+        ev = dev.event_create();
+        dev.event_record(ev, s1);
+        dev.stream_begin_capture(s1);
+        dev.launch_async(cfg(), kernel(), "graph_node", s1);
+        graph = dev.stream_end_capture(s1);
+        exec = dev.graph_instantiate(graph);
+        dev.synchronize();
+    }
+
+    static LaunchConfig cfg() { return LaunchConfig{dim3{2}, dim3{32}}; }
+    cusim::KernelEntry kernel() {
+        return [p = buf](ThreadCtx& ctx) { return scale_kernel(ctx, p); };
+    }
+    static constexpr std::uint64_t kBytes = 64 * sizeof(float);
+};
+
+/// One instrumented entry point. `nodes` counts the timeline nodes that
+/// carry the op's correlation id once its work has drained; `failed_node`
+/// says whether a rejected call records one failed node.
+struct OpCase {
+    const char* api;
+    std::optional<faults::Site> site;  ///< nullopt: the op has no fault site
+    ErrorCode code;
+    std::uint64_t nodes;
+    bool failed_node;
+    std::function<void(OpBench&)> run;
+};
+
+std::vector<OpCase> op_cases() {
+    using S = faults::Site;
+    constexpr auto kB = OpBench::kBytes;
+    return {
+        {"malloc", S::Malloc, ErrorCode::MemoryAllocation, 0, false,
+         [](OpBench& b) { (void)b.dev.malloc_bytes(256); }},
+        {"malloc", S::Malloc, ErrorCode::MemoryAllocation, 0, false,
+         [](OpBench& b) { (void)b.dev.malloc_n<float>(16); }},
+        {"free", std::nullopt, ErrorCode::Success, 0, false,
+         [](OpBench& b) { b.dev.free(b.spare); }},
+        {"memcpy_h2d", S::MemcpyH2D, ErrorCode::TransferFailure, 1, true,
+         [](OpBench& b) { b.dev.copy_to_device(b.buf.addr(), b.host.data(), kB); }},
+        {"memcpy_d2h", S::MemcpyD2H, ErrorCode::TransferFailure, 1, true,
+         [](OpBench& b) { b.dev.copy_to_host(b.host.data(), b.buf.addr(), kB); }},
+        {"memcpy_d2d", S::MemcpyD2D, ErrorCode::TransferFailure, 1, true,
+         [](OpBench& b) { b.dev.copy_device_to_device(b.other.addr(), b.buf.addr(), kB); }},
+        {"memcpy_h2d", S::MemcpyH2D, ErrorCode::TransferFailure, 1, true,
+         [](OpBench& b) { b.dev.copy_to_constant(b.cbuf.addr(), b.host.data(), kB); }},
+        {"sync", S::Sync, ErrorCode::LaunchFailure, 1, true,
+         [](OpBench& b) { b.dev.synchronize(); }},
+        {"launch", S::Launch, ErrorCode::LaunchFailure, 2, true,
+         [](OpBench& b) { b.dev.launch(OpBench::cfg(), b.kernel(), "op"); }},
+        {"launch_async", S::Launch, ErrorCode::LaunchFailure, 2, true,
+         [](OpBench& b) { b.dev.launch_async(OpBench::cfg(), b.kernel(), "op", b.s1); }},
+        {"memcpy_h2d_async", S::MemcpyH2D, ErrorCode::TransferFailure, 1, true,
+         [](OpBench& b) {
+             b.dev.memcpy_to_device_async(b.buf.addr(), b.host.data(), kB, b.s1);
+         }},
+        {"memcpy_d2h_async", S::MemcpyD2H, ErrorCode::TransferFailure, 1, true,
+         [](OpBench& b) {
+             b.dev.memcpy_to_host_async(b.host.data(), b.buf.addr(), kB, b.s1);
+         }},
+        {"memcpy_d2d_async", S::MemcpyD2D, ErrorCode::TransferFailure, 1, true,
+         [](OpBench& b) {
+             b.dev.memcpy_device_to_device_async(b.other.addr(), b.buf.addr(), kB, b.s1);
+         }},
+        {"event_record", std::nullopt, ErrorCode::Success, 1, false,
+         [](OpBench& b) { b.dev.event_record(b.ev, b.s1); }},
+        {"stream_wait_event", std::nullopt, ErrorCode::Success, 1, false,
+         [](OpBench& b) { b.dev.stream_wait_event(b.s2, b.ev); }},
+        {"stream_create", S::Malloc, ErrorCode::MemoryAllocation, 0, false,
+         [](OpBench& b) { (void)b.dev.stream_create(); }},
+        {"event_create", S::Malloc, ErrorCode::MemoryAllocation, 0, false,
+         [](OpBench& b) { (void)b.dev.event_create(); }},
+        {"graph_instantiate", S::Launch, ErrorCode::LaunchFailure, 0, false,
+         [](OpBench& b) { (void)b.dev.graph_instantiate(b.graph); }},
+        {"graph_launch", S::Launch, ErrorCode::LaunchFailure, 2, true,
+         [](OpBench& b) { b.dev.graph_launch(b.exec); }},
+    };
+}
+
+std::uint64_t count_nodes(std::uint64_t correlation, bool failed) {
+    std::uint64_t n = 0;
+    for (const cusim::timeline::Node& node : cusim::timeline::nodes()) {
+        if (node.correlation == correlation && node.failed == failed) ++n;
+    }
+    return n;
+}
+
+/// Every instrumented entry point keeps one contract with the recorders:
+/// one Enter/Exit pair whose correlation id is the id of every timeline
+/// node the op produced; and, when a fault rule rejects it, a failed Exit,
+/// one injection, and (for ops that schedule work) one failed node under
+/// that same id.
+TEST_F(ProfTest, EveryEntryPointKeepsTheOpContract) {
+    namespace tl = cusim::timeline;
+    std::vector<prof::ApiRecord> records;
+    const std::uint64_t sub =
+        prof::subscribe([&](const prof::ApiRecord& r) { records.push_back(r); });
+
+    const std::vector<OpCase> cases = op_cases();
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const OpCase& c = cases[i];
+        SCOPED_TRACE(std::to_string(i) + ": " + c.api);
+        {
+            tl::reset();
+            OpBench b;
+            tl::enable();
+            const std::size_t before = tl::nodes().size();
+            records.clear();
+            c.run(b);
+            ASSERT_EQ(records.size(), 2u) << "exactly one Enter/Exit pair";
+            EXPECT_EQ(records[0].phase, prof::Phase::Enter);
+            EXPECT_EQ(records[1].phase, prof::Phase::Exit);
+            EXPECT_STREQ(prof::api_name(records[0].api), c.api);
+            EXPECT_EQ(records[1].api, records[0].api);
+            EXPECT_FALSE(records[1].failed);
+            const std::uint64_t corr = records[0].correlation;
+            ASSERT_NE(corr, 0u);
+            EXPECT_EQ(records[1].correlation, corr);
+            const std::vector<tl::Node> during = tl::nodes();
+            for (std::size_t n = before; n < during.size(); ++n) {
+                // Host-lane filler nodes (untracked host time) carry no id.
+                if (during[n].correlation != 0) {
+                    EXPECT_EQ(during[n].correlation, corr) << during[n].name;
+                }
+            }
+            b.dev.synchronize();  // drains async work under its enqueue's id
+            EXPECT_EQ(count_nodes(corr, false), c.nodes);
+            EXPECT_EQ(count_nodes(corr, true), 0u);
+        }
+        if (!c.site) continue;
+        {
+            tl::reset();
+            OpBench b;
+            tl::enable();
+            faults::Rule rule;
+            rule.site = *c.site;
+            rule.code = c.code;
+            rule.every = 1;
+            faults::configure({rule});
+            records.clear();
+            EXPECT_THROW(c.run(b), cusim::Error);
+            EXPECT_EQ(faults::injections(), 1u);
+            faults::reset();
+            ASSERT_EQ(records.size(), 2u) << "a rejected call still pairs Enter/Exit";
+            EXPECT_STREQ(prof::api_name(records[0].api), c.api);
+            EXPECT_TRUE(records[1].failed);
+            const std::uint64_t corr = records[0].correlation;
+            EXPECT_EQ(records[1].correlation, corr);
+            EXPECT_EQ(count_nodes(corr, true), c.failed_node ? 1u : 0u);
+            EXPECT_EQ(tl::analyze().failed_nodes, c.failed_node ? 1u : 0u);
+        }
+    }
+    tl::reset();
+    prof::unsubscribe(sub);
 }
 
 // --- sessions ---------------------------------------------------------------
