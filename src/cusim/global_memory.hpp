@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <new>
 #include <source_location>
 #include <vector>
 
@@ -26,18 +28,27 @@ namespace cusim {
 /// "pointers" are plain integers that mean nothing to the host — mirroring
 /// the real rule that dereferencing a cudaMalloc pointer on the host is
 /// undefined. All access from the simulator goes through checked methods.
+///
+/// Contents contract:
+///   - A never-allocated address reads zero. The arena is one calloc, which
+///     maps large requests to fresh zero pages from the kernel: bring-up
+///     writes nothing, and a page is committed only when first touched.
+///   - A freed and re-allocated range keeps its old bytes (like cudaMalloc;
+///     memcheck reports reads of them as uninitialised). free_all() wipes
+///     nothing either.
+///   - wipe_for_recovery() zeroes the live allocations' extents only.
 class GlobalMemory {
 public:
     /// Creates an address space of `size` bytes. The size is validated
-    /// *before* the arena is allocated, so an invalid size doesn't commit
-    /// gigabytes of backing store just to throw. (Virtual memory; pages
-    /// commit on first touch.)
+    /// *before* the arena is allocated, so an invalid size reserves nothing
+    /// just to throw.
     explicit GlobalMemory(std::uint64_t size) : size_(size) {
         if (size > (1ull << 32)) {
             throw Error(ErrorCode::InvalidValue,
                         "G80 global memory is a 32-bit address space");
         }
-        arena_.reset(new std::byte[size]());
+        arena_.reset(static_cast<std::byte*>(std::calloc(size, 1)));
+        if (!arena_ && size != 0) throw std::bad_alloc();
         free_list_[0] = size;
     }
 
@@ -207,9 +218,13 @@ private:
         std::uint64_t aligned;
     };
 
+    struct FreeArena {
+        void operator()(std::byte* p) const { std::free(p); }
+    };
+
     std::uint64_t size_;
     std::uint64_t used_ = 0;
-    std::unique_ptr<std::byte[]> arena_;
+    std::unique_ptr<std::byte[], FreeArena> arena_;
     std::map<DeviceAddr, std::uint64_t> free_list_;   // addr -> bytes
     std::map<DeviceAddr, Allocation> allocations_;
     mutable memcheck::Shadow shadow_;

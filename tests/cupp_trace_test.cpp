@@ -16,10 +16,12 @@ namespace tr = cupp::trace;
 using cusim::KernelTask;
 using cusim::ThreadCtx;
 
-/// Every test starts from a clean, in-memory-recording tracer.
+/// Every test starts from a clean, in-memory-recording tracer and a fresh
+/// device 0, so launch history never carries over from an earlier test.
 class TraceTest : public ::testing::Test {
 protected:
     void SetUp() override {
+        cusim::Registry::instance().reset();
         tr::clear();
         tr::metrics().reset();
         tr::enable();

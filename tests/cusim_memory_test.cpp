@@ -1,6 +1,8 @@
 // Global-memory allocator and transfer tests.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -88,6 +90,76 @@ TEST(GlobalMemory, FreeAllReleasesEverything) {
 
 TEST(GlobalMemory, Rejects33BitAddressSpace) {
     EXPECT_THROW(GlobalMemory((1ull << 32) + 1), Error);
+}
+
+TEST(GlobalMemory, ReallocatedRangeKeepsItsOldBytes) {
+    GlobalMemory mem(1 << 20);
+    const DeviceAddr a = mem.allocate(64);
+    std::vector<std::uint8_t> pattern(64);
+    std::iota(pattern.begin(), pattern.end(), std::uint8_t{1});
+    mem.write(a, pattern.data(), pattern.size());
+    mem.free(a);
+    const DeviceAddr b = mem.allocate(64);
+    ASSERT_EQ(b, a);
+    std::vector<std::uint8_t> back(64);
+    mem.read(b, back.data(), back.size());
+    EXPECT_EQ(back, pattern) << "re-allocation must not wipe recycled bytes";
+}
+
+// Why a sanitizer build cannot count the arena's faults, or null.
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CUSIM_TEST_ASAN 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define CUSIM_TEST_TSAN 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(CUSIM_TEST_ASAN)
+constexpr const char* kArenaFaultsUnmeasurable =
+    "AddressSanitizer poisons the shadow of every heap block it hands out "
+    "(80 MiB of shadow pages for the arena)";
+#elif defined(__SANITIZE_THREAD__) || defined(CUSIM_TEST_TSAN)
+constexpr const char* kArenaFaultsUnmeasurable =
+    "ThreadSanitizer's calloc zero-fills the block it returns, committing "
+    "every arena page";
+#else
+constexpr const char* kArenaFaultsUnmeasurable = nullptr;
+#endif
+
+// Minor page faults this process has taken so far.
+long minor_faults() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+}
+
+TEST(DeviceBringUp, CommitsAlmostNoArenaPages) {
+    if (kArenaFaultsUnmeasurable != nullptr) {
+        GTEST_SKIP() << kArenaFaultsUnmeasurable
+                     << ", so the fault count does not measure the arena in this build";
+    }
+    const DeviceProperties props = g80_properties();
+    // Writing the whole 640 MiB arena at construction takes one fault per
+    // 4 KiB page (163,840); a lazy arena takes a few dozen.
+    const long arena_pages = static_cast<long>(props.total_global_mem / 4096);
+    const long before = minor_faults();
+    Device dev(props);
+    const long faults = minor_faults() - before;
+    EXPECT_LT(faults, arena_pages / 64) << "device bring-up committed arena pages";
+}
+
+TEST(DeviceBringUp, TopOfTheAddressSpaceReadsZero) {
+    Device dev(g80_properties());
+    const std::uint64_t total = dev.properties().total_global_mem;
+    const DeviceAddr below = dev.malloc_bytes(total - 4096);
+    auto top = dev.malloc_n<std::uint32_t>(1024);
+    ASSERT_EQ(top.addr(), total - 4096);
+    std::vector<std::uint32_t> back(1024, 0xffffffffu);
+    dev.download(std::span<std::uint32_t>(back), top);
+    EXPECT_EQ(back, std::vector<std::uint32_t>(1024, 0u));
+    dev.free(top);
+    dev.free_bytes(below);
 }
 
 TEST(Device, TypedUploadDownloadRoundTrip) {
