@@ -22,7 +22,6 @@
 //   and writes <prefix>.thread.json / <prefix>.warp.json — cupp_prof --diff
 //   must report identical modelled device time across them (host wall
 //   seconds are real time and are excluded from the diffable slice).
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -41,154 +40,83 @@ namespace {
 using cusim::DevicePtr;
 using cusim::KernelSpec;
 using cusim::KernelTask;
-using cusim::kWarpSize;
+using cusim::lanes;
 using cusim::Op;
-using cusim::ThreadCtx;
-using cusim::WarpCtx;
 
 constexpr unsigned kGridX = 64;
 constexpr unsigned kBlockX = 128;
 constexpr std::uint32_t kN = kGridX * kBlockX;
 
+// Each kernel is written once over the execution context (ThreadCtx or
+// WarpCtx, cusim/warp_ctx.hpp); dual_form() instantiates both forms. Lane
+// loops run Ctx::kLanes slots, a compile-time bound the host compiler can
+// vectorize; the active mask decides which lanes commit.
+
 // --- crunch: shared tile, 2 barriers, 64 FMADs/thread ----------------------
 
-KernelTask crunch_thread(ThreadCtx& ctx, DevicePtr<float> out, std::uint32_t n) {
-    auto tile = ctx.shared_array<float>(ctx.block_dim().x);
-    const std::uint32_t tid = ctx.thread_idx().x;
-    tile.write(ctx, tid, static_cast<float>(ctx.global_id()));
+template <typename Ctx>
+KernelTask crunch(Ctx& ctx, DevicePtr<float> out, std::uint32_t n) {
+    auto tile = ctx.template shared_array<float>(ctx.block_dim().x);
+    lanes<Ctx, std::uint64_t> idx{};
+    lanes<Ctx, float> acc{};
+    for (unsigned l = 0; l < Ctx::kLanes; ++l) {
+        idx[l] = ctx.lane_tid(l);
+        acc[l] = static_cast<float>(ctx.global_id(l));
+    }
+    ctx.write(tile, idx.data(), acc.data());
     co_await ctx.syncthreads();
-    float acc = tile.read(ctx, (tid + 1) % ctx.block_dim().x);
+    for (unsigned l = 0; l < Ctx::kLanes; ++l) idx[l] = (ctx.lane_tid(l) + 1) % ctx.block_dim().x;
+    ctx.read(tile, idx.data(), acc.data());
+    ctx.charge(Op::FMad, 64);  // == 64 per-iteration charges
     for (int i = 0; i < 64; ++i) {
-        ctx.charge(Op::FMad);
-        acc = acc * 1.000001f + 0.5f;
+        for (unsigned l = 0; l < Ctx::kLanes; ++l) acc[l] = acc[l] * 1.000001f + 0.5f;
     }
     co_await ctx.syncthreads();
-    const std::uint64_t gid = ctx.global_id();
-    if (gid < n) out.write(ctx, gid, acc);
-    co_return;
-}
-
-KernelTask crunch_warp(WarpCtx& w, DevicePtr<float> out, std::uint32_t n) {
-    auto tile = w.shared_array<float>(w.block_dim().x);
-    // Lane loops run all kWarpSize slots with a compile-time bound so the
-    // host compiler can vectorize them; the accessors' active mask decides
-    // which lanes actually commit, so a tail warp's dead slots just compute
-    // values nobody reads — the same lockstep discipline a real warp has.
-    std::uint64_t idx[kWarpSize];
-    float acc[kWarpSize];
-    for (unsigned l = 0; l < kWarpSize; ++l) {
-        idx[l] = w.lane_tid(l);
-        acc[l] = static_cast<float>(w.global_id(l));
-    }
-    w.write(tile, idx, acc);
-    co_await w.syncthreads();
-    for (unsigned l = 0; l < kWarpSize; ++l) {
-        idx[l] = (w.lane_tid(l) + 1) % w.block_dim().x;
-    }
-    w.read(tile, idx, acc);
-    w.charge(Op::FMad, 64);  // == 64 per-iteration charges, batched
-    for (int i = 0; i < 64; ++i) {
-        for (unsigned l = 0; l < kWarpSize; ++l) {
-            acc[l] = acc[l] * 1.000001f + 0.5f;
-        }
-    }
-    co_await w.syncthreads();
-    std::uint32_t in_range = 0;
-    for (unsigned l = 0; l < kWarpSize; ++l) {
-        idx[l] = w.global_id(l);
-        in_range |= (idx[l] < n ? 1u : 0u) << l;
-    }
-    w.push_active(in_range);
-    w.write(out, idx, acc);
-    w.pop_active();
+    for (unsigned l = 0; l < Ctx::kLanes; ++l) idx[l] = ctx.global_id(l);
+    ctx.if_(ctx.lanes_where([&](unsigned l) { return idx[l] < n; }),
+            [&] { ctx.write(out, idx.data(), acc.data()); });
     co_return;
 }
 
 // --- diverge: 24 data-dependent branch rounds ------------------------------
 
-KernelTask diverge_thread(ThreadCtx& ctx, DevicePtr<std::uint32_t> data,
-                          std::uint32_t salt) {
-    const std::uint64_t gid = ctx.global_id();
-    std::uint32_t v = data.read(ctx, gid) ^ salt;
+template <typename Ctx>
+KernelTask diverge(Ctx& ctx, DevicePtr<std::uint32_t> data, std::uint32_t salt) {
+    lanes<Ctx, std::uint64_t> idx{};
+    lanes<Ctx, std::uint32_t> v{};
+    for (unsigned l = 0; l < Ctx::kLanes; ++l) idx[l] = ctx.global_id(l);
+    ctx.read(data, idx.data(), v.data());
+    for (unsigned l = 0; l < Ctx::kLanes; ++l) v[l] ^= salt;
     for (int i = 0; i < 24; ++i) {
-        if (ctx.branch((v & 1u) != 0)) {
-            ctx.charge(Op::FMad);  // the taken side costs extra
-            v = v * 3 + 1;
-        } else {
-            v >>= 1;
-        }
+        ctx.if_else(
+            ctx.ballot(ctx.lanes_where([&](unsigned l) { return (v[l] & 1u) != 0; })),
+            [&] {
+                ctx.charge(Op::FMad);  // the taken side costs extra
+                ctx.each_lane([&](unsigned l) { v[l] = v[l] * 3 + 1; });
+            },
+            [&] { ctx.each_lane([&](unsigned l) { v[l] >>= 1; }); });
     }
-    data.write(ctx, gid, v + static_cast<std::uint32_t>(gid));
-    co_return;
-}
-
-KernelTask diverge_warp(WarpCtx& w, DevicePtr<std::uint32_t> data,
-                        std::uint32_t salt) {
-    std::uint64_t idx[kWarpSize];
-    std::uint32_t v[kWarpSize] = {};  // read() fills active lanes only
-    for (unsigned l = 0; l < kWarpSize; ++l) idx[l] = w.global_id(l);
-    w.read(data, idx, v);
-    for (unsigned l = 0; l < kWarpSize; ++l) v[l] ^= salt;
-    for (int i = 0; i < 24; ++i) {
-        std::uint32_t odd = 0;
-        for (unsigned l = 0; l < kWarpSize; ++l) odd |= (v[l] & 1u) << l;
-        w.push_active(w.ballot(odd));
-        w.charge(Op::FMad);  // the taken side costs extra
-        const std::uint32_t taken = w.active();
-        w.else_active();
-        const std::uint32_t rest = w.active();
-        w.pop_active();
-        // Both sides computed for every lane, commit selected by mask — how
-        // the hardware executes a divergent warp, and a branchless select
-        // the compiler turns into vector blends.
-        for (unsigned l = 0; l < kWarpSize; ++l) {
-            const std::uint32_t grown = v[l] * 3 + 1;
-            const std::uint32_t halved = v[l] >> 1;
-            v[l] = ((taken >> l) & 1u) != 0 ? grown
-                 : ((rest >> l) & 1u) != 0  ? halved
-                                            : v[l];
-        }
-    }
-    for (unsigned l = 0; l < kWarpSize; ++l) {
-        v[l] += static_cast<std::uint32_t>(idx[l]);
-    }
-    w.write(data, idx, v);
+    for (unsigned l = 0; l < Ctx::kLanes; ++l) v[l] += static_cast<std::uint32_t>(idx[l]);
+    ctx.write(data, idx.data(), v.data());
     co_return;
 }
 
 // --- nobarrier: 96 FMADs + one write, no __syncthreads ---------------------
 
-KernelTask nobarrier_thread(ThreadCtx& ctx, DevicePtr<float> out, std::uint32_t n) {
-    float acc = static_cast<float>(ctx.global_id() & 0xffu);
-    for (int i = 0; i < 96; ++i) {
-        ctx.charge(Op::FMad);
-        acc = acc * 1.0000005f + 0.25f;
-    }
-    const std::uint64_t gid = ctx.global_id();
-    if (gid < n) out.write(ctx, gid, acc);
-    co_return;
-}
-
-KernelTask nobarrier_warp(WarpCtx& w, DevicePtr<float> out, std::uint32_t n) {
-    std::uint64_t idx[kWarpSize];
-    float acc[kWarpSize];
-    for (unsigned l = 0; l < kWarpSize; ++l) {
-        idx[l] = w.global_id(l);
+template <typename Ctx>
+KernelTask nobarrier(Ctx& ctx, DevicePtr<float> out, std::uint32_t n) {
+    lanes<Ctx, std::uint64_t> idx{};
+    lanes<Ctx, float> acc{};
+    for (unsigned l = 0; l < Ctx::kLanes; ++l) {
+        idx[l] = ctx.global_id(l);
         acc[l] = static_cast<float>(idx[l] & 0xffu);
     }
-    w.charge(Op::FMad, 96);
+    ctx.charge(Op::FMad, 96);  // == 96 per-iteration charges
     for (int i = 0; i < 96; ++i) {
-        for (unsigned l = 0; l < kWarpSize; ++l) {
-            acc[l] = acc[l] * 1.0000005f + 0.25f;
-        }
+        for (unsigned l = 0; l < Ctx::kLanes; ++l) acc[l] = acc[l] * 1.0000005f + 0.25f;
     }
-    std::uint32_t in_range = 0;
-    for (unsigned l = 0; l < kWarpSize; ++l) {
-        in_range |= (idx[l] < n ? 1u : 0u) << l;
-    }
-    w.push_active(in_range);
-    w.write(out, idx, acc);
-    w.pop_active();
+    ctx.if_(ctx.lanes_where([&](unsigned l) { return idx[l] < n; }),
+            [&] { ctx.write(out, idx.data(), acc.data()); });
     co_return;
 }
 
@@ -274,14 +202,12 @@ int main(int argc, char** argv) {
                                          kBlockX * sizeof(float)};
     const cusim::LaunchConfig plain_cfg{cusim::dim3{kGridX}, cusim::dim3{kBlockX}};
 
-    const KernelSpec crunch([&](ThreadCtx& ctx) { return crunch_thread(ctx, fout, kN); },
-                            [&](WarpCtx& w) { return crunch_warp(w, fout, kN); });
-    const KernelSpec diverge(
-        [&](ThreadCtx& ctx) { return diverge_thread(ctx, ubuf, 0x9e3779b9u); },
-        [&](WarpCtx& w) { return diverge_warp(w, ubuf, 0x9e3779b9u); });
-    const KernelSpec nobarrier(
-        [&](ThreadCtx& ctx) { return nobarrier_thread(ctx, fout, kN); },
-        [&](WarpCtx& w) { return nobarrier_warp(w, fout, kN); });
+    const KernelSpec crunch_spec =
+        cusim::dual_form([&](auto& ctx) { return crunch(ctx, fout, kN); });
+    const KernelSpec diverge_spec =
+        cusim::dual_form([&](auto& ctx) { return diverge(ctx, ubuf, 0x9e3779b9u); });
+    const KernelSpec nobarrier_spec =
+        cusim::dual_form([&](auto& ctx) { return nobarrier(ctx, fout, kN); });
 
     const auto no_reset = [] {};
     const auto reseed = [&] {
@@ -296,12 +222,12 @@ int main(int argc, char** argv) {
         const std::function<void()> reset;
     };
     const std::vector<Case> cases = {
-        {"crunch", "shared tile, 2 barriers, 64 FMADs/thread", &shared_cfg, &crunch,
-         no_reset},
+        {"crunch", "shared tile, 2 barriers, 64 FMADs/thread", &shared_cfg,
+         &crunch_spec, no_reset},
         {"diverge", "24 data-dependent branch rounds, asymmetric sides", &plain_cfg,
-         &diverge, reseed},
-        {"nobarrier", "96 FMADs + 1 write, no __syncthreads", &plain_cfg, &nobarrier,
-         no_reset},
+         &diverge_spec, reseed},
+        {"nobarrier", "96 FMADs + 1 write, no __syncthreads", &plain_cfg,
+         &nobarrier_spec, no_reset},
     };
 
     const std::vector<unsigned> thread_counts = {1, 2, 4, 8};
@@ -352,7 +278,7 @@ int main(int argc, char** argv) {
             cusim::BlockPool::set_threads(1);
             cusim::prof::reset();
             cusim::prof::enable(path);
-            for (int i = 0; i < 5; ++i) (void)dev.launch(shared_cfg, crunch, "crunch");
+            for (int i = 0; i < 5; ++i) (void)dev.launch(shared_cfg, crunch_spec, "crunch");
             cusim::prof::disable();
             if (!cusim::prof::write_report(path)) {
                 std::fprintf(stderr, "cannot write %s\n", path.c_str());

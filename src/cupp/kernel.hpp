@@ -23,6 +23,12 @@
 // element accesses through them are not cycle-accounted (use the accounted
 // container device types, e.g. deviceT::vector, in performance-relevant
 // kernels).
+//
+// A kernel written once as a template over the execution context
+// (`template <typename Ctx> KernelTask k(Ctx&, Params...)`, see
+// cusim/warp_ctx.hpp) is wrapped in both forms —
+// `cupp::kernel f(&k<cusim::ThreadCtx>, &k<cusim::WarpCtx>, grid, block)` —
+// and then runs one coroutine per warp under the warp engine.
 #pragma once
 
 #include <array>
@@ -44,6 +50,7 @@
 #include "cupp/type_traits.hpp"
 #include "cusim/prof.hpp"
 #include "cusim/runtime_api.hpp"
+#include "cusim/warp_ctx.hpp"
 
 namespace cupp {
 
@@ -105,6 +112,7 @@ template <typename... Args>
 class kernel<cusim::KernelTask (*)(cusim::ThreadCtx&, Args...)> {
 public:
     using fn_type = cusim::KernelTask (*)(cusim::ThreadCtx&, Args...);
+    using warp_fn_type = cusim::KernelTask (*)(cusim::WarpCtx&, Args...);
     static constexpr std::size_t arity = sizeof...(Args);
 
     /// Wraps a kernel function pointer; grid and block dimensions may be
@@ -113,13 +121,28 @@ public:
     /// changed later with set-methods").
     explicit kernel(fn_type f, cusim::dim3 grid_dim = cusim::dim3{1},
                     cusim::dim3 block_dim = cusim::dim3{cusim::kWarpSize})
-        : fn_(f), grid_(grid_dim), block_(block_dim) {
+        : kernel(f, nullptr, grid_dim, block_dim) {}
+
+    /// Dual form: the same kernel instantiated for ThreadCtx (the oracle)
+    /// and WarpCtx; the warp engine runs `wf`. Both must charge alike (see
+    /// cusim/warp_ctx.hpp).
+    kernel(fn_type f, warp_fn_type wf, cusim::dim3 grid_dim = cusim::dim3{1},
+           cusim::dim3 block_dim = cusim::dim3{cusim::kWarpSize})
+        : grid_(grid_dim), block_(block_dim) {
         static_assert(detail::stack_size<Args...>() <= cusim::rt::kKernelStackSize,
                       "kernel parameters exceed the 256-byte kernel stack");
+        cusim::rt::WarpTrampoline warp;
+        if (wf != nullptr) {
+            warp = [wf](cusim::WarpCtx& w, cusim::Device& dev, const std::byte* stack) {
+                return invoke(wf, w, dev, stack, std::index_sequence_for<Args...>{});
+            };
+        }
         handle_ = cusim::rt::register_kernel(
+            {reinterpret_cast<std::uintptr_t>(f), reinterpret_cast<std::uintptr_t>(wf)},
             [f](cusim::ThreadCtx& ctx, cusim::Device& dev, const std::byte* stack) {
                 return invoke(f, ctx, dev, stack, std::index_sequence_for<Args...>{});
-            });
+            },
+            std::move(warp));
     }
 
     // --- configuration ---
@@ -375,13 +398,12 @@ private:
         }
     }
 
-    template <std::size_t... I>
-    static cusim::KernelTask invoke(fn_type f, cusim::ThreadCtx& ctx, cusim::Device& dev,
+    template <typename Fn, typename Ctx, std::size_t... I>
+    static cusim::KernelTask invoke(Fn f, Ctx& ctx, cusim::Device& dev,
                                     const std::byte* stack, std::index_sequence<I...>) {
         return f(ctx, unpack<I>(dev, stack)...);
     }
 
-    fn_type fn_;
     cusim::rt::KernelHandle handle_;
     cusim::dim3 grid_;
     cusim::dim3 block_;
@@ -398,6 +420,10 @@ kernel(cusim::KernelTask (*)(cusim::ThreadCtx&, Args...), cusim::dim3, cusim::di
     -> kernel<cusim::KernelTask (*)(cusim::ThreadCtx&, Args...)>;
 template <typename... Args>
 kernel(cusim::KernelTask (*)(cusim::ThreadCtx&, Args...))
+    -> kernel<cusim::KernelTask (*)(cusim::ThreadCtx&, Args...)>;
+template <typename... Args>
+kernel(cusim::KernelTask (*)(cusim::ThreadCtx&, Args...),
+       cusim::KernelTask (*)(cusim::WarpCtx&, Args...), cusim::dim3, cusim::dim3)
     -> kernel<cusim::KernelTask (*)(cusim::ThreadCtx&, Args...)>;
 
 }  // namespace cupp

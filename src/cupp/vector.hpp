@@ -97,6 +97,22 @@ struct vector {
     void write(cusim::ThreadCtx& ctx, std::uint64_t i, const DevElem& v) const {
         data.write(ctx, i, v);
     }
+
+    /// Lane-batched forms for a warp context (`w.read(vec, idx, out)` lands
+    /// here): texture fetches go lane by lane through the lanes' ThreadCtx,
+    /// which keeps each lane's texture-cache counter; plain reads batch.
+    template <typename Warp>
+    void read(Warp& w, const std::uint64_t* idx, DevElem* out) const {
+        if (textured != 0) {
+            w.each_lane([&](unsigned l) { out[l] = data.tex_read(w.lane(l), idx[l]); });
+        } else {
+            w.read(data, idx, out);
+        }
+    }
+    template <typename Warp>
+    void write(Warp& w, const std::uint64_t* idx, const DevElem* v) const {
+        w.write(data, idx, v);
+    }
 };
 
 }  // namespace deviceT

@@ -64,8 +64,12 @@ struct BranchSiteStats {
         const auto n = static_cast<unsigned>(std::popcount(mask));
         evaluations += n;
         taken += static_cast<unsigned>(std::popcount(preds & mask));
-        for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-            ++lane_occurrence[std::countr_zero(m)];
+        if (mask == ~std::uint32_t{0}) {
+            for (auto& o : lane_occurrence) ++o;
+        } else {
+            for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+                ++lane_occurrence[std::countr_zero(m)];
+            }
         }
         if (idx >= kMaxTrackedOccurrences) return;
         const bool pred0 = ((preds >> std::countr_zero(mask)) & 1u) != 0;

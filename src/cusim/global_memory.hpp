@@ -7,8 +7,9 @@
 // access and blocks the host clock until the device is idle.
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -30,9 +31,11 @@ namespace cusim {
 /// undefined. All access from the simulator goes through checked methods.
 ///
 /// Contents contract:
-///   - A never-allocated address reads zero. The arena is one calloc, which
-///     maps large requests to fresh zero pages from the kernel: bring-up
-///     writes nothing, and a page is committed only when first touched.
+///   - A never-allocated address reads zero. The arena is one anonymous
+///     private mapping (MAP_NORESERVE): its pages are the kernel's shared
+///     zero page until first written, so bring-up commits nothing. Being a
+///     plain mmap rather than a heap block, it stays lazy under every
+///     sanitizer too — no allocator interposer zero-fills or poisons it.
 ///   - A freed and re-allocated range keeps its old bytes (like cudaMalloc;
 ///     memcheck reports reads of them as uninitialised). free_all() wipes
 ///     nothing either.
@@ -47,8 +50,13 @@ public:
             throw Error(ErrorCode::InvalidValue,
                         "G80 global memory is a 32-bit address space");
         }
-        arena_.reset(static_cast<std::byte*>(std::calloc(size, 1)));
-        if (!arena_ && size != 0) throw std::bad_alloc();
+        if (size != 0) {
+            void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+            if (p == MAP_FAILED) throw std::bad_alloc();
+            arena_ = std::unique_ptr<std::byte[], UnmapArena>(static_cast<std::byte*>(p),
+                                                              UnmapArena{size});
+        }
         free_list_[0] = size;
     }
 
@@ -218,13 +226,14 @@ private:
         std::uint64_t aligned;
     };
 
-    struct FreeArena {
-        void operator()(std::byte* p) const { std::free(p); }
+    struct UnmapArena {
+        std::uint64_t bytes;  // no initializer: default-constructible in-class
+        void operator()(std::byte* p) const { ::munmap(p, bytes); }
     };
 
     std::uint64_t size_;
     std::uint64_t used_ = 0;
-    std::unique_ptr<std::byte[], FreeArena> arena_;
+    std::unique_ptr<std::byte[], UnmapArena> arena_;
     std::map<DeviceAddr, std::uint64_t> free_list_;   // addr -> bytes
     std::map<DeviceAddr, Allocation> allocations_;
     mutable memcheck::Shadow shadow_;

@@ -77,4 +77,13 @@ struct KernelSpec {
         : thread(std::move(t)), warp(std::move(w)) {}
 };
 
+/// Both forms of a kernel written once over the execution context (see
+/// warp_ctx.hpp): `k` is a generic callable, e.g.
+/// `dual_form([&](auto& ctx) { return my_kernel(ctx, out, n); })`.
+template <typename K>
+KernelSpec dual_form(K k) {
+    return KernelSpec([k](ThreadCtx& ctx) { return k(ctx); },
+                      [k](WarpCtx& w) { return k(w); });
+}
+
 }  // namespace cusim

@@ -30,15 +30,39 @@ ErrorCode set_error(ErrorCode code) {
     return code;
 }
 
-/// Registered trampolines. A deque keeps element addresses stable, so the
-/// element address itself can serve as the handle.
-std::deque<Trampoline>& trampolines() {
-    static std::deque<Trampoline> t;
-    return t;
-}
-std::mutex& trampoline_mutex() {
-    static std::mutex m;
-    return m;
+/// One registered kernel in both forms (`warp` may be empty).
+struct Registered {
+    Trampoline thread;
+    WarpTrampoline warp;
+};
+
+/// Registered kernels. A deque keeps element addresses stable, so the
+/// element address itself can serve as the handle; `by_key` dedupes keyed
+/// registrations.
+struct KernelRegistry {
+    std::mutex mutex;
+    std::deque<Registered> kernels;
+    std::map<KernelKey, KernelHandle> by_key;
+
+    static KernelRegistry& instance() {
+        static KernelRegistry r;
+        return r;
+    }
+};
+
+/// Binds a registered kernel to the staged argument stack. The stack is
+/// copied, so the staging area can be reused immediately (and an enqueued
+/// launch owns its snapshot).
+KernelSpec bind_launch(KernelHandle kernel, Device& dev) {
+    const auto& k = *static_cast<const Registered*>(kernel);
+    auto stack = std::make_shared<std::array<std::byte, kKernelStackSize>>(t_launch.stack);
+    KernelSpec spec([&k, &dev, stack](ThreadCtx& ctx) {
+        return k.thread(ctx, dev, stack->data());
+    });
+    if (k.warp) {
+        spec.warp = [&k, &dev, stack](WarpCtx& w) { return k.warp(w, dev, stack->data()); };
+    }
+    return spec;
 }
 
 template <typename F>
@@ -53,7 +77,7 @@ ErrorCode guarded(F&& f) {
     }
 }
 
-/// Graph/exec handle registries. Mutex-guarded like the trampolines: the
+/// Graph/exec handle registries. Mutex-guarded like the kernels: the
 /// C API may be driven from several host threads.
 struct GraphRegistry {
     std::mutex mutex;
@@ -71,9 +95,27 @@ struct GraphRegistry {
 }  // namespace
 
 KernelHandle register_kernel(Trampoline trampoline) {
-    std::lock_guard<std::mutex> lock(trampoline_mutex());
-    trampolines().push_back(std::move(trampoline));
-    return &trampolines().back();
+    KernelRegistry& r = KernelRegistry::instance();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.kernels.push_back({std::move(trampoline), {}});
+    return &r.kernels.back();
+}
+
+KernelHandle register_kernel(KernelKey key, Trampoline trampoline, WarpTrampoline warp) {
+    KernelRegistry& r = KernelRegistry::instance();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    const auto [it, fresh] = r.by_key.try_emplace(key, nullptr);
+    if (fresh) {
+        r.kernels.push_back({std::move(trampoline), std::move(warp)});
+        it->second = &r.kernels.back();
+    }
+    return it->second;
+}
+
+std::size_t registered_kernels() {
+    KernelRegistry& r = KernelRegistry::instance();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    return r.kernels.size();
 }
 
 ErrorCode cusimSetDevice(int device) {
@@ -165,15 +207,10 @@ ErrorCode cusimLaunch(KernelHandle kernel) { return cusimLaunchNamed(kernel, nul
 ErrorCode cusimLaunchNamed(KernelHandle kernel, const char* name) {
     if (!kernel) return set_error(ErrorCode::InvalidValue);
     if (!t_launch.configured) return set_error(ErrorCode::InvalidConfiguration);
-    const auto* trampoline = static_cast<const Trampoline*>(kernel);
     return guarded([&] {
         Device& dev = Registry::instance().current_device();
-        // The stack is copied so the staging area can be reused immediately.
-        auto stack = std::make_shared<std::array<std::byte, kKernelStackSize>>(t_launch.stack);
-        KernelEntry entry = [trampoline, &dev, stack](ThreadCtx& ctx) {
-            return (*trampoline)(ctx, dev, stack->data());
-        };
-        dev.launch(t_launch.config, entry, name ? std::string_view(name) : std::string_view{});
+        dev.launch(t_launch.config, bind_launch(kernel, dev),
+                   name ? std::string_view(name) : std::string_view{});
         t_launch.configured = false;
     });
 }
@@ -267,17 +304,9 @@ ErrorCode cusimMemcpyToHostAsync(void* dst, DeviceAddr src, std::size_t count,
 ErrorCode cusimLaunchAsync(KernelHandle kernel, const char* name, StreamId stream) {
     if (!kernel) return set_error(ErrorCode::InvalidValue);
     if (!t_launch.configured) return set_error(ErrorCode::InvalidConfiguration);
-    const auto* trampoline = static_cast<const Trampoline*>(kernel);
     return guarded([&] {
         Device& dev = Registry::instance().current_device();
-        // Same staging-copy trick as cusimLaunchNamed: the enqueued closure
-        // owns its stack snapshot, so the thread-local staging area is free
-        // for the next configure/setup sequence immediately.
-        auto stack = std::make_shared<std::array<std::byte, kKernelStackSize>>(t_launch.stack);
-        KernelEntry entry = [trampoline, &dev, stack](ThreadCtx& ctx) {
-            return (*trampoline)(ctx, dev, stack->data());
-        };
-        dev.launch_async(t_launch.config, entry,
+        dev.launch_async(t_launch.config, bind_launch(kernel, dev),
                          name ? std::string_view(name) : std::string_view{}, stream);
         t_launch.configured = false;
     });

@@ -10,6 +10,7 @@
 // stack into the typed coroutine call.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -30,10 +31,32 @@ using KernelHandle = const void*;
 /// thread's coroutine.
 using Trampoline =
     std::function<KernelTask(ThreadCtx&, Device&, const std::byte* stack)>;
+/// The warp form of a registered kernel: one coroutine per warp.
+using WarpTrampoline =
+    std::function<KernelTask(WarpCtx&, Device&, const std::byte* stack)>;
+
+/// Identity of a kernel function, like a __global__ symbol: the addresses
+/// of its thread form and (0 when absent) its warp form.
+struct KernelKey {
+    std::uintptr_t thread = 0;
+    std::uintptr_t warp = 0;
+    auto operator<=>(const KernelKey&) const = default;
+};
 
 /// Registers a kernel trampoline; the returned handle is what
-/// cusimLaunch accepts. Handles stay valid for the process lifetime.
+/// cusimLaunch accepts. Handles stay valid for the process lifetime. Every
+/// call registers a new kernel.
 KernelHandle register_kernel(Trampoline trampoline);
+
+/// Registers the kernel `key` once: later calls with the same key return
+/// the first call's handle and drop their trampolines, so constructing a
+/// kernel functor per request does not grow the registry. A launch through
+/// the handle runs `warp` under the warp engine when it is set.
+KernelHandle register_kernel(KernelKey key, Trampoline trampoline,
+                             WarpTrampoline warp = {});
+
+/// Kernels registered so far.
+std::size_t registered_kernels();
 
 // --- device management (§3.2.1) ---
 ErrorCode cusimSetDevice(int device);

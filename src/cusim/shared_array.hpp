@@ -33,6 +33,9 @@ public:
     /// Accounted element access; defined in thread_ctx.hpp.
     T read(ThreadCtx& ctx, std::uint64_t i) const;
     void write(ThreadCtx& ctx, std::uint64_t i, const T& v) const;
+    /// Broadcast: every active lane of the warp reads element `i`; defined
+    /// in warp_ctx.hpp.
+    T read(WarpCtx& w, std::uint64_t i) const;
 
 private:
     friend class ThreadCtx;

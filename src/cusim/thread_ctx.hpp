@@ -6,6 +6,7 @@
 // performance model.
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <cstring>
@@ -106,6 +107,61 @@ public:
     // --- accounting hooks ---
     /// Charges `n` instructions of class `op` per Table 2.2.
     void charge(Op op, unsigned n = 1) { acct_->charge(*cm_, op, n); }
+
+    // --- the lane vocabulary (shared with WarpCtx) ---
+    // A ThreadCtx is a warp of one lane. Lane arrays (cusim::lanes) hold one
+    // element, a lane mask is one bit, and every construct below reduces to
+    // the plain per-thread statement, so a kernel written once as a template
+    // over the context instantiates here to the same scalar work it would
+    // do hand-written (warp_ctx.hpp documents the warp side).
+    static constexpr unsigned kLanes = 1;
+    [[nodiscard]] unsigned lane_tid(unsigned /*lane*/) const { return linear_tid(); }
+    [[nodiscard]] std::uint64_t global_id(unsigned /*lane*/) const { return global_id(); }
+
+    /// The mask of lanes for which `pred(lane)` holds.
+    template <typename Pred>
+    [[nodiscard]] std::uint32_t lanes_where(Pred&& pred) const {
+        return pred(0u) ? 1u : 0u;
+    }
+    /// A charged, divergence-tracked branch on a lane mask: branch() on bit 0.
+    std::uint32_t ballot(std::uint32_t preds,
+                         std::source_location loc = std::source_location::current()) {
+        return branch((preds & 1u) != 0, loc) ? 1u : 0u;
+    }
+    /// Divergent region: runs `f` for the lanes in `mask` (no charge; wrap
+    /// the mask in ballot() to charge the branch instruction).
+    template <typename F>
+    void if_(std::uint32_t mask, F&& f) {
+        if ((mask & 1u) != 0) f();
+    }
+    template <typename F, typename G>
+    void if_else(std::uint32_t mask, F&& taken, G&& not_taken) {
+        if ((mask & 1u) != 0) {
+            taken();
+        } else {
+            not_taken();
+        }
+    }
+    /// Per-lane escape hatch: `f(lane)` for every active lane, which reaches
+    /// its own ThreadCtx through lane(lane).
+    template <typename F>
+    void each_lane(F&& f) {
+        f(0u);
+    }
+    ThreadCtx& lane(unsigned /*lane*/) { return *this; }
+    /// Lanes in `mask` return from the kernel; true when none is left, so
+    /// the kernel writes `if (ctx.exit_lanes(m)) co_return;`.
+    bool exit_lanes(std::uint32_t mask) { return (mask & 1u) != 0; }
+
+    /// Lane-batched accesses: idx/out/v are lane arrays.
+    template <typename Mem, typename T>
+    void read(const Mem& m, const std::uint64_t* idx, T* out) {
+        out[0] = m.read(*this, idx[0]);
+    }
+    template <typename Mem, typename T>
+    void write(const Mem& m, const std::uint64_t* idx, const T* v) {
+        m.write(*this, idx[0], v[0]);
+    }
 
     /// Stable identifier for a static source site: FNV-1a over the file
     /// name, hash-combined with line and column. (The previous scheme
@@ -327,6 +383,10 @@ private:
     std::uint64_t texture_fetches_ = 0;
     bool at_barrier_ = false;
 };
+
+/// One value per lane of a context: `lanes<Ctx, float> acc{};`.
+template <typename Ctx, typename T>
+using lanes = std::array<T, Ctx::kLanes>;
 
 // --- accounted accesses (need the full ThreadCtx) ---
 

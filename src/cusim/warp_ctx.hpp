@@ -23,6 +23,18 @@
 // routed through the lane's full ThreadCtx facade (lane(l)) — the identical
 // code path the thread engine runs, so diagnostics, shadow-state updates
 // and strict-mode throws match to the byte.
+//
+// Single source: ThreadCtx models a one-lane warp with the same vocabulary
+// (kLanes, lanes<Ctx, T>, lanes_where, ballot, if_/if_else, each_lane +
+// lane(l), exit_lanes, batched read/write), so a kernel is written once as
+// `template <typename Ctx> KernelTask k(Ctx& ctx, ...)` and instantiated for
+// both contexts; cupp::kernel's dual-form constructor registers the pair.
+//
+// Uniform charges: while every lane is active (active() == full_mask()),
+// charge() and the global-access charges land in one `uniform_` slot
+// instead of 32 per-lane slots. A full active mask implies every lane is
+// live, and lanes never come back once they exit, so every lane received
+// every uniform charge; fold_into_warp_acct() adds the slot to each lane.
 #pragma once
 
 #include <bit>
@@ -145,10 +157,48 @@ public:
 
     /// Lanes in `mask` return from the kernel. When every live lane has
     /// exited, the engine retires the warp even if the coroutine body has
-    /// statements left.
-    void exit_lanes(std::uint32_t mask) {
+    /// statements left. Returns whether no lane is left (ThreadCtx's
+    /// `if (ctx.exit_lanes(m)) co_return;` idiom).
+    bool exit_lanes(std::uint32_t mask) {
         live_ &= ~mask;
         active_ &= live_;
+        return live_ == 0;
+    }
+
+    // --- the single-source vocabulary (see ThreadCtx) ----------------------
+    static constexpr unsigned kLanes = kWarpSize;
+
+    /// The mask of lanes for which `pred(lane)` holds. Evaluates every slot
+    /// (a compile-time trip count the compiler can vectorize); a tail warp's
+    /// dead slots are masked off.
+    template <typename Pred>
+    [[nodiscard]] std::uint32_t lanes_where(Pred&& pred) const {
+        std::uint32_t m = 0;
+        for (unsigned l = 0; l < kWarpSize; ++l) m |= (pred(l) ? 1u : 0u) << l;
+        return m & full_mask_;
+    }
+    /// Divergent region over the active lanes in `mask`; skipped when none.
+    template <typename F>
+    void if_(std::uint32_t mask, F&& f) {
+        push_active(mask);
+        if (active_ != 0) f();
+        pop_active();
+    }
+    template <typename F, typename G>
+    void if_else(std::uint32_t mask, F&& taken, G&& not_taken) {
+        push_active(mask);
+        if (active_ != 0) taken();
+        else_active();
+        if (active_ != 0) not_taken();
+        pop_active();
+    }
+    /// Per-lane escape hatch: `f(l)` for every active lane in ascending
+    /// order; per-lane work reaches the thread engine's code through lane(l).
+    template <typename F>
+    void each_lane(F&& f) {
+        for (std::uint32_t m = active_; m != 0; m &= m - 1) {
+            f(static_cast<unsigned>(std::countr_zero(m)));
+        }
     }
 
     // --- __syncthreads() --------------------------------------------------
@@ -172,27 +222,24 @@ public:
     }
 
     // --- accounting -------------------------------------------------------
-    /// Charges `n` instructions of class `op` to every active lane. A full
-    /// warp takes the branch-free vector loop; divergent masks bit-walk.
+    /// Charges `n` instructions of class `op` to every active lane: O(1)
+    /// into the uniform slot for a full warp; divergent masks bit-walk.
     void charge(Op op, unsigned n = 1) {
         const std::uint64_t c = std::uint64_t{cm_->issue_cycles(op)} * n;
         const std::uint64_t s = std::uint64_t{cm_->stall_cycles(op)} * n;
-        if (active_ == ~std::uint32_t{0}) [[likely]] {
-            for (unsigned l = 0; l < kWarpSize; ++l) {
-                accts_[l].compute_cycles += c;
-                accts_[l].stall_cycles += s;
-            }
-        } else {
-            for (std::uint32_t m = active_; m != 0; m &= m - 1) {
-                const auto l = static_cast<unsigned>(std::countr_zero(m));
-                accts_[l].compute_cycles += c;
-                accts_[l].stall_cycles += s;
-            }
+        if (active_ == full_mask_) [[likely]] {
+            uniform_.compute_cycles += c;
+            uniform_.stall_cycles += s;
+            return;
+        }
+        for (std::uint32_t m = active_; m != 0; m &= m - 1) {
+            const auto l = static_cast<unsigned>(std::countr_zero(m));
+            accts_[l].compute_cycles += c;
+            accts_[l].stall_cycles += s;
         }
     }
 
     [[nodiscard]] const CostModel& cost_model() const { return *cm_; }
-    [[nodiscard]] ThreadAcct& lane_acct(unsigned l) { return accts_[l]; }
 
     // --- shared memory ----------------------------------------------------
     /// Carves a typed array out of the block's shared arena — one carve per
@@ -331,6 +378,42 @@ public:
         }
     }
 
+    /// Containers outside cusim (cupp's deviceT::vector) batch themselves:
+    /// `m.read(w, idx, out)` picks the texture path or forwards here.
+    template <typename Mem, typename T>
+    void read(const Mem& m, const std::uint64_t* idx, T* out) {
+        m.read(*this, idx, out);
+    }
+    template <typename Mem, typename T>
+    void write(const Mem& m, const std::uint64_t* idx, const T* v) {
+        m.write(*this, idx, v);
+    }
+
+    /// Broadcast read: every active lane reads element `i` (the tile loop's
+    /// `s.read(ctx, i)`). One bounds check and one copy; each lane is still
+    /// charged one shared access and noted for the bank-conflict tracker
+    /// (same word for all lanes: a broadcast, never a conflict).
+    template <typename T>
+    T read(const SharedArray<T>& a, std::uint64_t i) {
+        T v{};
+        if (active_ == 0) return v;
+        if (memcheck::enabled()) {
+            each_lane([&](unsigned l) { v = a.read(lane(l), i); });
+            return v;
+        }
+        if (i >= a.count_) {
+            (void)a.read(lane(static_cast<unsigned>(std::countr_zero(active_))), i);
+        }
+        charge(Op::SharedAccess);
+        const std::byte* p = a.base_ + i * sizeof(T);
+        if (prof::collecting() && in_shared_arena(p)) {
+            const auto off = static_cast<std::uint64_t>(p - block_->shared_arena.data());
+            each_lane([&](unsigned l) { warp_->shared.note((base_tid_ + l) % kWarpSize, off); });
+        }
+        std::memcpy(&v, p, sizeof(T));
+        return v;
+    }
+
     // --- lane facade ------------------------------------------------------
     /// Full ThreadCtx view of lane `l`, for per-lane escape hatches (texture
     /// fetches, constant reads, per-lane helper functions written against
@@ -358,14 +441,17 @@ public:
     /// lanes — the same fold the thread engine performs per finished thread.
     void fold_into_warp_acct() {
         WarpAcct& w = *warp_;
+        const ThreadAcct& u = uniform_;
         for (unsigned l = 0; l < nlanes_; ++l) {
             const ThreadAcct& a = accts_[l];
-            if (a.compute_cycles > w.compute_cycles) w.compute_cycles = a.compute_cycles;
-            if (a.stall_cycles > w.stall_cycles) w.stall_cycles = a.stall_cycles;
-            w.bytes_read += a.bytes_read;
-            w.bytes_written += a.bytes_written;
-            w.useful_bytes_read += a.useful_bytes_read;
-            w.useful_bytes_written += a.useful_bytes_written;
+            const std::uint64_t compute = a.compute_cycles + u.compute_cycles;
+            const std::uint64_t stall = a.stall_cycles + u.stall_cycles;
+            if (compute > w.compute_cycles) w.compute_cycles = compute;
+            if (stall > w.stall_cycles) w.stall_cycles = stall;
+            w.bytes_read += a.bytes_read + u.bytes_read;
+            w.bytes_written += a.bytes_written + u.bytes_written;
+            w.useful_bytes_read += a.useful_bytes_read + u.useful_bytes_read;
+            w.useful_bytes_written += a.useful_bytes_written + u.useful_bytes_written;
         }
     }
 
@@ -410,28 +496,12 @@ private:
         return c;
     }
 
-    /// Global-memory charge for one access per active lane.
+    /// Global-memory charge for one access per active lane (uniform slot
+    /// for a full warp, like charge()).
     void charge_global(Op op, std::uint64_t charged, std::uint64_t useful, bool is_read) {
         const std::uint64_t c = cm_->issue_cycles(op);
         const std::uint64_t s = cm_->stall_cycles(op);
-        if (active_ == ~std::uint32_t{0}) [[likely]] {
-            for (unsigned l = 0; l < kWarpSize; ++l) {
-                ThreadAcct& a = accts_[l];
-                a.compute_cycles += c;
-                a.stall_cycles += s;
-                if (is_read) {
-                    a.bytes_read += charged;
-                    a.useful_bytes_read += useful;
-                } else {
-                    a.bytes_written += charged;
-                    a.useful_bytes_written += useful;
-                }
-            }
-            return;
-        }
-        for (std::uint32_t m = active_; m != 0; m &= m - 1) {
-            const auto l = static_cast<unsigned>(std::countr_zero(m));
-            ThreadAcct& a = accts_[l];
+        const auto add = [&](ThreadAcct& a) {
             a.compute_cycles += c;
             a.stall_cycles += s;
             if (is_read) {
@@ -441,6 +511,13 @@ private:
                 a.bytes_written += charged;
                 a.useful_bytes_written += useful;
             }
+        };
+        if (active_ == full_mask_) [[likely]] {
+            add(uniform_);
+            return;
+        }
+        for (std::uint32_t m = active_; m != 0; m &= m - 1) {
+            add(accts_[std::countr_zero(m)]);
         }
     }
 
@@ -450,15 +527,20 @@ private:
     void note_shared_lanes(const SharedArray<T>& a, const std::uint64_t* idx,
                            std::uint64_t elem) {
         if (!prof::collecting()) return;
-        if (block_ == nullptr || block_->shared_arena.empty()) return;
-        const std::byte* base = block_->shared_arena.data();
-        for (std::uint32_t m = active_; m != 0; m &= m - 1) {
-            const auto l = static_cast<unsigned>(std::countr_zero(m));
+        each_lane([&](unsigned l) {
             const std::byte* p = a.base_ + idx[l] * elem;
-            if (p < base || p >= base + block_->shared_arena.size()) continue;
+            if (!in_shared_arena(p)) return;
             warp_->shared.note((base_tid_ + l) % kWarpSize,
-                               static_cast<std::uint64_t>(p - base));
-        }
+                               static_cast<std::uint64_t>(p - block_->shared_arena.data()));
+        });
+    }
+
+    /// Whether `p` points into the block's shared arena (accesses through
+    /// other pointers, e.g. unit tests over stack buffers, are not tracked).
+    [[nodiscard]] bool in_shared_arena(const std::byte* p) const {
+        if (block_ == nullptr || block_->shared_arena.empty()) return false;
+        const std::byte* base = block_->shared_arena.data();
+        return p >= base && p < base + block_->shared_arena.size();
     }
 
     /// Inverse of ThreadCtx::linear_tid() (CUDA convention: x fastest).
@@ -492,11 +574,17 @@ private:
     unsigned depth_ = 0;
     Frame stack_[kMaxNesting];
     /// Contiguous per-lane accounting (the structure-of-arrays lane state):
-    /// the warp-level charge loops stream through it; lane facades alias
-    /// into it.
+    /// partial-mask charges bit-walk it; lane facades alias into it.
     ThreadAcct accts_[kWarpSize] = {};
+    /// Charges made while every lane was active (see the file comment).
+    ThreadAcct uniform_{};
     std::uint32_t lane_constructed_ = 0;
     alignas(ThreadCtx) std::byte lane_storage_[sizeof(ThreadCtx) * kWarpSize];
 };
+
+template <typename T>
+T SharedArray<T>::read(WarpCtx& w, std::uint64_t i) const {
+    return w.read(*this, i);
+}
 
 }  // namespace cusim

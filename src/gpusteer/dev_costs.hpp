@@ -16,7 +16,8 @@ namespace gpusteer {
 /// offset = position - s_positions[i] (3 FADD), lengthSquared (3 FMAD),
 /// r*r (1 FMUL), index arithmetic (1 IADD), the combined compare (2 CMP +
 /// 1 logical op). The memory access itself is charged by the container.
-inline void charge_pair_test(cusim::ThreadCtx& ctx) {
+template <typename Ctx>
+inline void charge_pair_test(Ctx& ctx) {
     ctx.charge(cusim::Op::FAdd, 3);
     ctx.charge(cusim::Op::FMad, 3);
     ctx.charge(cusim::Op::FMul, 1);
@@ -26,14 +27,16 @@ inline void charge_pair_test(cusim::ThreadCtx& ctx) {
 }
 
 /// Appending a neighbor while fewer than 7 are known (listing 5.2).
-inline void charge_neighbor_add(cusim::ThreadCtx& ctx) {
+template <typename Ctx>
+inline void charge_neighbor_add(Ctx& ctx) {
     ctx.charge(cusim::Op::IAdd, 2);        // store index, bump counter
     ctx.charge(cusim::Op::Register, 2);
 }
 
 /// Replace-farthest path: scan 7 entries for the maximum distance and
 /// conditionally overwrite (listing 5.2 / listing 6.3 else-branch).
-inline void charge_neighbor_replace(cusim::ThreadCtx& ctx) {
+template <typename Ctx>
+inline void charge_neighbor_replace(Ctx& ctx) {
     ctx.charge(cusim::Op::Compare, 7);
     ctx.charge(cusim::Op::MinMax, 7);
     ctx.charge(cusim::Op::Compare, 1);
@@ -44,7 +47,8 @@ inline void charge_neighbor_replace(cusim::ThreadCtx& ctx) {
 /// separation + cohesion + alignment are ~20 scalar FLOPs per neighbor,
 /// plus three normalisations (3 FMAD + RSQRT + 3 FMUL each) and the
 /// weighted sum (9 FMAD) once.
-inline void charge_flocking(cusim::ThreadCtx& ctx, unsigned neighbors) {
+template <typename Ctx>
+inline void charge_flocking(Ctx& ctx, unsigned neighbors) {
     ctx.charge(cusim::Op::FMad, 20 * neighbors);
     ctx.charge(cusim::Op::Recip, neighbors);  // the 1/d falloff division
     for (int b = 0; b < 3; ++b) {
@@ -58,7 +62,8 @@ inline void charge_flocking(cusim::ThreadCtx& ctx, unsigned neighbors) {
 /// The modification substage for one agent: truncate force, integrate,
 /// truncate speed, wrap, renormalise forward (agent.hpp apply_steering +
 /// wrap_world).
-inline void charge_modify(cusim::ThreadCtx& ctx) {
+template <typename Ctx>
+inline void charge_modify(Ctx& ctx) {
     ctx.charge(cusim::Op::FMad, 14);
     ctx.charge(cusim::Op::FMul, 8);
     ctx.charge(cusim::Op::RSqrt, 2);
@@ -67,7 +72,8 @@ inline void charge_modify(cusim::ThreadCtx& ctx) {
 
 /// Building the 4x4 draw matrix (draw_stage.hpp agent_matrix): one cross
 /// product is 6 FMAD, two crosses + normalisations + stores.
-inline void charge_draw_matrix(cusim::ThreadCtx& ctx) {
+template <typename Ctx>
+inline void charge_draw_matrix(Ctx& ctx) {
     ctx.charge(cusim::Op::FMad, 18);
     ctx.charge(cusim::Op::RSqrt, 2);
     ctx.charge(cusim::Op::FMul, 6);

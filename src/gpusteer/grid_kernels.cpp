@@ -43,11 +43,9 @@ KernelTask ns_grid_kernel(ThreadCtx& ctx, const DVec3& positions, const DU32& ce
     NeighborList list;
     for_each_grid_candidate(ctx, cell_start, entries, spec, cx, cy, cz,
                             [&](std::uint32_t candidate) {
-                                const Vec3 p = positions.read(ctx, candidate);
-                                const Vec3 offset = p - my_pos;
-                                offer_candidate(ctx, list, candidate,
-                                                offset.length_squared(), r2,
-                                                candidate != me, NeighborList::kCapacity);
+                                const float d2 =
+                                    (positions.read(ctx, candidate) - my_pos).length_squared();
+                                offer_candidate(ctx, &list, candidate, &d2, r2, &me, NeighborList::kCapacity);
                             });
 
     write_neighbor_list(ctx, list, me, result, result_count);
@@ -72,11 +70,9 @@ KernelTask sim_grid_kernel(ThreadCtx& ctx, const DVec3& positions, const DVec3& 
     NeighborList list;
     for_each_grid_candidate(ctx, cell_start, entries, spec, cx, cy, cz,
                             [&](std::uint32_t candidate) {
-                                const Vec3 p = positions.read(ctx, candidate);
-                                const Vec3 offset = p - my_pos;
-                                offer_candidate(ctx, list, candidate,
-                                                offset.length_squared(), r2,
-                                                candidate != me, fp.max_neighbors);
+                                const float d2 =
+                                    (positions.read(ctx, candidate) - my_pos).length_squared();
+                                offer_candidate(ctx, &list, candidate, &d2, r2, &me, fp.max_neighbors);
                             });
 
     const Vec3 steering = device_flocking(ctx, positions, forwards, my_pos, my_fwd, list,

@@ -19,22 +19,26 @@ using cusim::ThreadCtx;
 using steer::NeighborList;
 using steer::Vec3;
 
-/// The branch cascade of listing 6.3 applied to one candidate. Returns
-/// whether the candidate was accepted into the list. The two ctx.branch()
-/// sites are the ones §6.3.1 discusses: "there is no order within the way
-/// the agents are stored [...] so it is expected that only a single thread
-/// executes a branch most of the time".
-inline bool offer_candidate(ThreadCtx& ctx, NeighborList& list, std::uint32_t candidate,
-                            float d2, float r2, bool not_me, std::uint32_t max_neighbors) {
+/// The branch cascade of listing 6.3 applied to one candidate, per lane:
+/// lane l offers `candidate` at squared distance d2[l] to list[l] unless it
+/// is agent me[l] itself. The two ballot sites are the branches §6.3.1
+/// discusses: "there is no order within the way the agents are stored
+/// [...] so it is expected that only a single thread executes a branch most
+/// of the time".
+template <typename Ctx, typename Index>
+void offer_candidate(Ctx& ctx, NeighborList* list, std::uint32_t candidate, const float* d2,
+                     float r2, const Index* me, std::uint32_t max_neighbors) {
     charge_pair_test(ctx);
-    if (!ctx.branch(d2 < r2 && not_me)) return false;
-    if (ctx.branch(list.count < max_neighbors)) {
-        charge_neighbor_add(ctx);
-    } else {
-        charge_neighbor_replace(ctx);
-    }
-    list.offer(candidate, d2, max_neighbors);
-    return true;
+    const std::uint32_t in_range =
+        ctx.lanes_where([&](unsigned l) { return d2[l] < r2 && candidate != me[l]; });
+    ctx.if_(ctx.ballot(in_range), [&] {
+        const std::uint32_t room =
+            ctx.lanes_where([&](unsigned l) { return list[l].count < max_neighbors; });
+        ctx.if_else(
+            ctx.ballot(room), [&] { charge_neighbor_add(ctx); },
+            [&] { charge_neighbor_replace(ctx); });
+        ctx.each_lane([&](unsigned l) { list[l].offer(candidate, d2[l], max_neighbors); });
+    });
 }
 
 /// Gathers the found neighbors' state from global memory, computes the

@@ -84,26 +84,32 @@ cusim::KernelTask ns_global_kernel(cusim::ThreadCtx& ctx, const DVec3& positions
                                    float search_radius, DU32& result, DU32& result_count,
                                    ThinkMap map);
 
+// Versions 2-5 are written once, as templates over the execution context,
+// and instantiated for cusim::ThreadCtx (one coroutine per thread, the
+// oracle) and cusim::WarpCtx (one per warp). Wrap both in a cupp::kernel:
+// `cupp::kernel k(&sim_kernel<cusim::ThreadCtx>, &sim_kernel<cusim::WarpCtx>)`.
+
 /// Version 2: neighbor search with the shared-memory position cache of
 /// listing 6.2. Requires the agent count to be a multiple of the block size
 /// ("the number of agents has to be a multiply of threads_per_block").
-cusim::KernelTask ns_shared_kernel(cusim::ThreadCtx& ctx, const DVec3& positions,
-                                   float search_radius, DU32& result, DU32& result_count,
-                                   ThinkMap map);
+template <typename Ctx>
+cusim::KernelTask ns_shared_kernel(Ctx& ctx, const DVec3& positions, float search_radius,
+                                   DU32& result, DU32& result_count, ThinkMap map);
 
 /// Versions 3/4: the complete simulation substage on the device — shared-
 /// memory neighbor search plus the flocking combination, writing one
 /// steering vector per thinking agent.
-cusim::KernelTask sim_kernel(cusim::ThreadCtx& ctx, const DVec3& positions,
-                             const DVec3& forwards, DVec3& steerings, FlockParams fp,
-                             ThinkMap map, NeighborData mode);
+template <typename Ctx>
+cusim::KernelTask sim_kernel(Ctx& ctx, const DVec3& positions, const DVec3& forwards,
+                             DVec3& steerings, FlockParams fp, ThinkMap map,
+                             NeighborData mode);
 
 /// Version 5: the modification substage on the device — applies the
 /// steering vectors to every agent and emits the 4x4 draw matrices (the
 /// only data that still travels back to the host, §6.2.3). Uses shared
 /// memory as an extension of the register file, as the thesis describes.
-cusim::KernelTask modify_kernel(cusim::ThreadCtx& ctx, DVec3& positions, DVec3& forwards,
-                                DF32& speeds, const DVec3& steerings, DMat4& matrices,
-                                ModifyParams mp);
+template <typename Ctx>
+cusim::KernelTask modify_kernel(Ctx& ctx, DVec3& positions, DVec3& forwards, DF32& speeds,
+                                const DVec3& steerings, DMat4& matrices, ModifyParams mp);
 
 }  // namespace gpusteer

@@ -52,10 +52,12 @@ GpuBoidsPlugin::GpuBoidsPlugin(Version version, bool double_buffering, bool with
       with_draw_(with_draw_stage),
       name_("boids-gpu-v" + std::to_string(static_cast<int>(version)) +
             (double_buffering ? "-db" : "")),
-      ns_kernel_(version == Version::V1_NeighborSearchGlobal ? &ns_global_kernel
-                                                             : &ns_shared_kernel),
-      sim_kernel_(&sim_kernel),
-      mod_kernel_(&modify_kernel),
+      ns_kernel_(version == Version::V1_NeighborSearchGlobal
+                     ? cupp::kernel<NsKernelFn>(&ns_global_kernel)
+                     : cupp::kernel<NsKernelFn>(&ns_shared_kernel<cusim::ThreadCtx>,
+                                                &ns_shared_kernel<cusim::WarpCtx>)),
+      sim_kernel_(&sim_kernel<cusim::ThreadCtx>, &sim_kernel<cusim::WarpCtx>),
+      mod_kernel_(&modify_kernel<cusim::ThreadCtx>, &modify_kernel<cusim::WarpCtx>),
       grid_sim_kernel_(&sim_grid_kernel) {
     ns_kernel_.set_block_dim(cusim::dim3{kThreadsPerBlock});
     sim_kernel_.set_block_dim(cusim::dim3{kThreadsPerBlock});

@@ -106,27 +106,6 @@ TEST(GlobalMemory, ReallocatedRangeKeepsItsOldBytes) {
     EXPECT_EQ(back, pattern) << "re-allocation must not wipe recycled bytes";
 }
 
-// Why a sanitizer build cannot count the arena's faults, or null.
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define CUSIM_TEST_ASAN 1
-#endif
-#if __has_feature(thread_sanitizer)
-#define CUSIM_TEST_TSAN 1
-#endif
-#endif
-#if defined(__SANITIZE_ADDRESS__) || defined(CUSIM_TEST_ASAN)
-constexpr const char* kArenaFaultsUnmeasurable =
-    "AddressSanitizer poisons the shadow of every heap block it hands out "
-    "(80 MiB of shadow pages for the arena)";
-#elif defined(__SANITIZE_THREAD__) || defined(CUSIM_TEST_TSAN)
-constexpr const char* kArenaFaultsUnmeasurable =
-    "ThreadSanitizer's calloc zero-fills the block it returns, committing "
-    "every arena page";
-#else
-constexpr const char* kArenaFaultsUnmeasurable = nullptr;
-#endif
-
 // Minor page faults this process has taken so far.
 long minor_faults() {
     rusage usage{};
@@ -134,11 +113,9 @@ long minor_faults() {
     return usage.ru_minflt;
 }
 
+// Also under ASan and TSan: the arena is an anonymous mapping, which no
+// allocator interposer zero-fills or poisons.
 TEST(DeviceBringUp, CommitsAlmostNoArenaPages) {
-    if (kArenaFaultsUnmeasurable != nullptr) {
-        GTEST_SKIP() << kArenaFaultsUnmeasurable
-                     << ", so the fault count does not measure the arena in this build";
-    }
     const DeviceProperties props = g80_properties();
     // Writing the whole 640 MiB arena at construction takes one fault per
     // 4 KiB page (163,840); a lazy arena takes a few dozen.

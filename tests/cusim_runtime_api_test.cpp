@@ -135,6 +135,21 @@ TEST_F(RuntimeApiTest, ThreeStepLaunchProtocol) {
     ASSERT_EQ(cusimFree(out), ErrorCode::Success);
 }
 
+// A functor built per request (a serve handler's kernels) registers its
+// kernel once: the key is the kernel function, like a __global__ symbol.
+TEST_F(RuntimeApiTest, RegisteringOneKernelKeyRepeatedlyYieldsOneHandle) {
+    const Trampoline trampoline = [](ThreadCtx& ctx, Device& dev, const std::byte* stack) {
+        return add_kernel(ctx, dev, stack);
+    };
+    const KernelKey key{reinterpret_cast<std::uintptr_t>(&add_kernel), 0};
+    const KernelHandle first = register_kernel(key, trampoline);
+    const std::size_t registered = registered_kernels();
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(register_kernel(key, trampoline), first);
+    EXPECT_EQ(registered_kernels(), registered);
+    // With a warp form it is another kernel.
+    EXPECT_NE(register_kernel(KernelKey{key.thread, 1}, trampoline), first);
+}
+
 TEST_F(RuntimeApiTest, LaunchProtocolMisuse) {
     const KernelHandle handle =
         register_kernel([](ThreadCtx& ctx, Device&, const std::byte*) -> KernelTask {
