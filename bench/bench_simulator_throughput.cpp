@@ -6,7 +6,12 @@
 // accounting hooks, allocator).
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstring>
+#include <string>
+
 #include "cupp/cupp.hpp"
+#include "cusim/prof.hpp"
 #include "gpusteer/plugin.hpp"
 #include "steer/steer.hpp"
 
@@ -16,17 +21,6 @@ using cusim::KernelTask;
 using cusim::ThreadCtx;
 
 KernelTask empty_kernel(ThreadCtx&) { co_return; }
-
-void BM_LaunchOverhead(benchmark::State& state) {
-    cusim::Device dev(cusim::tiny_properties());
-    const cusim::LaunchConfig cfg{cusim::dim3{static_cast<unsigned>(state.range(0))},
-                                  cusim::dim3{128}};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(dev.launch(cfg, [](ThreadCtx& ctx) { return empty_kernel(ctx); }));
-    }
-    state.SetItemsProcessed(state.iterations() * cfg.total_threads());
-}
-BENCHMARK(BM_LaunchOverhead)->Arg(1)->Arg(16)->Arg(64);
 
 KernelTask saxpy_kernel(ThreadCtx& ctx, cupp::deviceT::vector<float>& y,
                         const cupp::deviceT::vector<float>& x, float a) {
@@ -38,16 +32,61 @@ KernelTask saxpy_kernel(ThreadCtx& ctx, cupp::deviceT::vector<float>& y,
     co_return;
 }
 
-void BM_SaxpyThroughput(benchmark::State& state) {
-    const auto n = static_cast<std::uint32_t>(state.range(0));
-    cupp::device d;
-    cupp::vector<float> x(n, 1.0f), y(n, 2.0f);
+// The simulated workloads, each stepped both by its benchmark and by the
+// fixed profiled sequence behind --prof.
+
+/// An empty kernel over `blocks` blocks of 128 threads.
+struct EmptyLaunch {
+    explicit EmptyLaunch(unsigned blocks) : cfg{cusim::dim3{blocks}, cusim::dim3{128}} {}
+    cusim::LaunchStats step() {
+        return dev.launch(cfg, [](ThreadCtx& ctx) { return empty_kernel(ctx); });
+    }
+    cusim::Device dev{cusim::tiny_properties()};
+    cusim::LaunchConfig cfg;
+};
+
+/// y = 2x + y over `n` floats, through the cupp::kernel call protocol.
+struct Saxpy {
     using K = KernelTask (*)(ThreadCtx&, cupp::deviceT::vector<float>&,
                              const cupp::deviceT::vector<float>&, float);
-    cupp::kernel k(static_cast<K>(saxpy_kernel), cusim::dim3{(n + 255) / 256},
-                   cusim::dim3{256});
+    explicit Saxpy(std::uint32_t n)
+        : x(n, 1.0f),
+          y(n, 2.0f),
+          k(static_cast<K>(saxpy_kernel), cusim::dim3{(n + 255) / 256}, cusim::dim3{256}) {}
+    void step() { k(d, y, x, 2.0f); }
+    cupp::device d;
+    cupp::vector<float> x, y;
+    cupp::kernel<K> k;
+};
+
+/// One GpuBoidsPlugin V5 flock of `agents`.
+struct BoidsFlock {
+    explicit BoidsFlock(std::uint32_t agents) : gpu(gpusteer::Version::V5_FullUpdateOnDevice) {
+        steer::WorldSpec spec;
+        spec.agents = agents;
+        gpu.open(spec);
+    }
+    ~BoidsFlock() { gpu.close(); }
+    BoidsFlock(const BoidsFlock&) = delete;
+    BoidsFlock& operator=(const BoidsFlock&) = delete;
+    auto step() { return gpu.step(); }
+    gpusteer::GpuBoidsPlugin gpu;
+};
+
+void BM_LaunchOverhead(benchmark::State& state) {
+    EmptyLaunch w(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
-        k(d, y, x, 2.0f);
+        benchmark::DoNotOptimize(w.step());
+    }
+    state.SetItemsProcessed(state.iterations() * w.cfg.total_threads());
+}
+BENCHMARK(BM_LaunchOverhead)->Arg(1)->Arg(16)->Arg(64);
+
+void BM_SaxpyThroughput(benchmark::State& state) {
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    Saxpy w(n);
+    for (auto _ : state) {
+        w.step();
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
@@ -55,15 +94,11 @@ BENCHMARK(BM_SaxpyThroughput)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_BoidsStep(benchmark::State& state) {
     const auto agents = static_cast<std::uint32_t>(state.range(0));
-    steer::WorldSpec spec;
-    spec.agents = agents;
-    gpusteer::GpuBoidsPlugin gpu(gpusteer::Version::V5_FullUpdateOnDevice);
-    gpu.open(spec);
+    BoidsFlock w(agents);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(gpu.step());
+        benchmark::DoNotOptimize(w.step());
     }
     state.SetItemsProcessed(state.iterations() * agents * agents);  // pair tests
-    gpu.close();
 }
 BENCHMARK(BM_BoidsStep)->Arg(512)->Arg(2048)->Unit(benchmark::kMillisecond);
 
@@ -94,6 +129,61 @@ void BM_GlobalMemoryAllocator(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalMemoryAllocator);
 
+/// The launches of the three simulated benchmarks above at fixed counts.
+/// google-benchmark picks its iteration counts from the host's speed, so a
+/// profile of the timed loops would count more launches on a faster host;
+/// this sequence's modelled totals depend on the code alone.
+void run_profiled_sequence() {
+    for (const unsigned blocks : {1u, 16u, 64u}) {
+        EmptyLaunch w(blocks);
+        for (int i = 0; i < 10; ++i) (void)w.step();
+    }
+    for (const std::uint32_t n : {1u << 12, 1u << 16}) {
+        Saxpy w(n);
+        for (int i = 0; i < 5; ++i) w.step();
+    }
+    for (const std::uint32_t agents : {512u, 2048u}) {
+        BoidsFlock w(agents);
+        for (int i = 0; i < 3; ++i) (void)w.step();
+    }
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+// Usage: bench_simulator_throughput [--prof <report.json>] [google-benchmark flags]
+//   --prof runs the fixed profiled sequence before the timed benchmarks and
+//   writes its cusim::prof report; reports of two runs (any host, any
+//   CUPP_SIM_THREADS, any benchmark filter) are equal but for host time.
+int main(int argc, char** argv) {
+    std::string prof_path;
+    int kept = 1;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--prof") == 0 && i + 1 < argc) {
+            prof_path = argv[++i];
+        } else {
+            argv[kept++] = argv[i];
+        }
+    }
+    argc = kept;
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+
+    // First, so the devices it creates get the same ordinals (and report
+    // lanes) in every run: the timed benchmarks create a device per run of
+    // the benchmark function, as many as the host's speed asks for.
+    if (!prof_path.empty()) {
+        cusim::prof::reset();
+        cusim::prof::enable(prof_path);
+        run_profiled_sequence();
+        cusim::prof::disable();
+        if (!cusim::prof::write_report(prof_path)) {
+            std::fprintf(stderr, "cannot write %s\n", prof_path.c_str());
+            return 1;
+        }
+        cusim::prof::reset();
+        std::printf("wrote %s\n", prof_path.c_str());
+    }
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

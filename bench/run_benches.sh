@@ -42,10 +42,13 @@ CUPP_SIM_THREADS=1 "$BUILD/bench/bench_simulator_throughput" \
 
 echo ""
 echo "== bench_simulator_throughput, CUPP_SIM_THREADS=4 (parallel engine) =="
-CUPP_PROF=BENCH_throughput_prof.json \
+# No CUPP_PROF here either: google-benchmark's iteration counts follow the
+# host's speed. --prof records a fixed sequence of the same launches before
+# the timed loops, so BENCH_throughput_prof.json diffs clean across hosts
+# and commits (cupp_prof --diff).
 CUPP_SIM_THREADS=4 "$BUILD/bench/bench_simulator_throughput" \
     --benchmark_filter='BM_(BoidsStep|SaxpyThroughput|LaunchOverhead)' \
-    --benchmark_min_time=0.2 || STATUS=1
+    --benchmark_min_time=0.2 --prof BENCH_throughput_prof.json || STATUS=1
 
 echo ""
 echo "== bench_parallel_engine (engine x thread sweep + determinism check) =="

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -22,6 +23,42 @@ uint3 unlinearize_block(std::uint64_t i, const dim3& g) {
     b.z = static_cast<unsigned>(i / (std::uint64_t{g.x} * g.y));
     return b;
 }
+
+/// This host thread's BlockScratch, kept across launches so a steady-state
+/// launch allocates nothing. A grid launched from inside a kernel body (a
+/// nested run_grid on the same thread) finds it in use and runs in a
+/// scratch of its own instead.
+class ScratchLease {
+public:
+    ScratchLease() {
+        // Touch the frame cache before constructing the scratch:
+        // thread_locals die in reverse construction order, so the cache
+        // that coroutine frames return to outlives the scratch.
+        detail::FrameCache::local();
+        thread_local BlockScratch scratch;
+        thread_local bool in_use = false;
+        if (in_use) {
+            nested_ = std::make_unique<BlockScratch>();
+            scratch_ = nested_.get();
+        } else {
+            in_use = true;
+            in_use_ = &in_use;
+            scratch_ = &scratch;
+        }
+    }
+    ~ScratchLease() {
+        if (in_use_ != nullptr) *in_use_ = false;
+    }
+    ScratchLease(const ScratchLease&) = delete;
+    ScratchLease& operator=(const ScratchLease&) = delete;
+
+    BlockScratch& scratch() { return *scratch_; }
+
+private:
+    BlockScratch* scratch_ = nullptr;
+    bool* in_use_ = nullptr;
+    std::unique_ptr<BlockScratch> nested_;
+};
 
 }  // namespace
 
@@ -177,15 +214,11 @@ LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
     if (threads <= 1) {
         // The classic serial engine: blocks run in launch order on this
         // thread, reporting memcheck violations and trace events inline, and
-        // the first failure propagates before any later block runs. One
-        // scratch arena is reused across the whole grid.
-        BlockScratch scratch;
-        RunBlockOpts opts;
-        opts.scratch = &scratch;
+        // the first failure propagates before any later block runs.
+        ScratchLease lease;
         for (std::uint64_t i = 0; i < nblocks; ++i) {
-            accumulate(
-                run_block(props_.cost, cfg, spec, unlinearize_block(i, cfg.grid),
-                          &exec, opts));
+            accumulate(run_block(props_.cost, cfg, spec, unlinearize_block(i, cfg.grid),
+                                 lease.scratch(), &exec));
         }
     } else {
         // Parallel path. Each worker runs whole blocks, writing only to its
@@ -210,19 +243,12 @@ LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
         BlockPool::instance().run(nblocks, threads, [&](std::uint64_t i) {
             if (first_error.load(std::memory_order_acquire) < i) return;
             try {
-                // Touch the frame cache before constructing the scratch:
-                // thread_locals die in reverse construction order, and the
-                // scratch's teardown recycles coroutine frames through the
-                // cache, so the cache must be constructed first.
-                detail::FrameCache::local();
-                thread_local BlockScratch scratch;
-                RunBlockOpts opts;
-                opts.scratch = &scratch;
-                opts.violation_sink = &runs[i].violations;
+                ScratchLease lease;
                 std::optional<cupp::trace::ScopedCapture> capture;
                 if (tracing) capture.emplace(&runs[i].trace_events);
-                runs[i].result = run_block(props_.cost, cfg, spec,
-                                           unlinearize_block(i, cfg.grid), &exec, opts);
+                runs[i].result =
+                    std::move(run_block(props_.cost, cfg, spec, unlinearize_block(i, cfg.grid),
+                                        lease.scratch(), &exec, &runs[i].violations));
             } catch (...) {
                 runs[i].error = std::current_exception();
                 std::uint64_t expected = first_error.load(std::memory_order_relaxed);

@@ -7,6 +7,7 @@
 #include <new>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "cupp/trace.hpp"
 #include "cusim/error.hpp"
@@ -29,18 +30,16 @@ void FrameCache::flush_metrics() {
 
 }  // namespace detail
 
-// Declaration order matters for teardown: tasks are destroyed before ctxs
-// (members die in reverse order), so a suspended coroutine frame never
-// outlives the ThreadCtx it references. Same for the warp engine's wtasks
-// relative to wctxs.
+// Declaration order matters for teardown: tasks are destroyed before the
+// contexts (members die in reverse order), so a suspended coroutine frame
+// never outlives the context it references. Between blocks the tasks are
+// empty anyway. Either engine's block uses `tasks`, one per thread or warp.
 struct BlockScratch::State {
-    std::vector<std::unique_ptr<ThreadCtx>> ctxs;
-    std::vector<KernelTask> tasks;
-    std::vector<bool> finished;
-    std::vector<std::unique_ptr<WarpCtx>> wctxs;
-    std::vector<KernelTask> wtasks;
-    std::vector<bool> wfinished;
+    BlockResult result;
     BlockState block;
+    std::vector<std::unique_ptr<ThreadCtx>> ctxs;
+    std::vector<std::unique_ptr<WarpCtx>> wctxs;
+    std::vector<KernelTask> tasks;
 };
 
 BlockScratch::BlockScratch() : state(std::make_unique<State>()) {}
@@ -65,6 +64,64 @@ uint3 unlinearize_thread(unsigned tid, const dim3& bd) {
         throw Error(ErrorCode::LaunchFailure, std::string("kernel threw: ") + e.what());
     } catch (...) {
         throw Error(ErrorCode::LaunchFailure, "kernel threw a non-standard exception");
+    }
+}
+
+/// Readies the scratch for the next block: fresh warp accounting, a zeroed
+/// shared arena, no memcheck shadow. Every vector keeps its capacity.
+BlockResult& begin_block(BlockScratch::State& s, const LaunchConfig& cfg,
+                         std::vector<memcheck::Violation>* violation_sink) {
+    s.result.warps.assign(cfg.warps_per_block(), WarpAcct{});
+    s.result.sync_episodes = 0;
+    s.block.shared_arena.assign(cfg.shared_bytes, std::byte{0});
+    s.block.sync_episodes = 0;
+    s.block.shared_shadow.reset();
+    s.block.violation_sink = violation_sink;
+    return s.result;
+}
+
+/// Ends a block on every exit path, a throw included: the frames still
+/// suspended at a barrier are destroyed, so none outlives its launch inside
+/// reused scratch, and the caller-owned violation sink is dropped.
+class EndOfBlock {
+public:
+    EndOfBlock(std::vector<KernelTask>& tasks, BlockState& block)
+        : tasks_(tasks), block_(block) {}
+    ~EndOfBlock() {
+        tasks_.clear();
+        block_.violation_sink = nullptr;
+    }
+    EndOfBlock(const EndOfBlock&) = delete;
+    EndOfBlock& operator=(const EndOfBlock&) = delete;
+
+private:
+    std::vector<KernelTask>& tasks_;
+    BlockState& block_;
+};
+
+/// Context `i` of a grow-only vector: rebuilt in place (contexts are not
+/// assignable) or appended on first use. Slots fill in order, so i <= size.
+template <typename Ctx, typename... Args>
+Ctx& place(std::vector<std::unique_ptr<Ctx>>& ctxs, unsigned i, Args&&... args) {
+    if (i == ctxs.size()) {
+        ctxs.push_back(std::make_unique<Ctx>(std::forward<Args>(args)...));
+    } else {
+        ctxs[i]->~Ctx();
+        new (ctxs[i].get()) Ctx(std::forward<Args>(args)...);
+    }
+    return *ctxs[i];
+}
+
+/// Closes an epoch. __syncthreads() must be reached by every thread of the
+/// block; a thread finishing (or not arriving) while others wait is the
+/// CUDA-undefined divergent barrier, diagnosed instead of hung. Both engines
+/// count lanes, so the message is the same under either.
+void check_barrier(unsigned at_barrier, unsigned live, unsigned finished_this_epoch) {
+    if (at_barrier > 0 && (finished_this_epoch > 0 || at_barrier != live)) {
+        throw Error(ErrorCode::LaunchFailure,
+                    "__syncthreads() reached by " + std::to_string(at_barrier) + " of " +
+                        std::to_string(live + finished_this_epoch) +
+                        " threads (divergent barrier)");
     }
 }
 
@@ -93,219 +150,147 @@ void set_engine_mode(EngineMode mode) {
 
 void clear_engine_mode() { g_engine_override.store(-1, std::memory_order_relaxed); }
 
-BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
-                      const KernelEntry& entry, uint3 block_idx,
-                      const memcheck::ExecContext* exec, const RunBlockOpts& opts) {
+namespace {
+
+/// The per-thread block loop. The first epoch is fused with construction:
+/// in tid order each thread's context is rebuilt, its coroutine created and
+/// resumed, and a thread that finishes is folded and its frame released at
+/// once, so a barrier-free block recycles one hot frame through the
+/// FrameCache. Only threads suspended at a barrier keep a task; a valid
+/// task is a live thread. Creating a coroutine later changes nothing
+/// observable: its parameters are copies from the immutable kernel stack.
+BlockResult& run_block_thread(const CostModel& cm, const LaunchConfig& cfg,
+                              const KernelEntry& entry, uint3 block_idx,
+                              const memcheck::ExecContext* exec, BlockScratch::State& s,
+                              std::vector<memcheck::Violation>* violation_sink) {
     const unsigned nthreads = static_cast<unsigned>(cfg.block.count());
-    const unsigned nwarps = cfg.warps_per_block();
-
-    BlockResult result;
-    result.warps.resize(nwarps);
-
-    // Per-call storage comes from the caller's scratch when provided, so a
-    // worker re-running blocks reconstructs contexts in place and keeps the
-    // shared arena's capacity instead of reallocating everything per block.
-    std::unique_ptr<BlockScratch> local;
-    if (opts.scratch == nullptr) local = std::make_unique<BlockScratch>();
-    BlockScratch::State& s =
-        *(opts.scratch != nullptr ? opts.scratch : local.get())->state;
-
-    BlockState& block_state = s.block;
-    block_state.shared_arena.assign(cfg.shared_bytes, std::byte{0});
-    block_state.sync_episodes = 0;
-    block_state.shared_shadow.reset();
-    block_state.violation_sink = opts.violation_sink;
-
-    // Tear down the previous block's coroutines before their contexts are
-    // reconstructed underneath them (frames recycle through the
-    // thread-local cache in kernel_task.hpp, so this is cheap).
-    s.tasks.clear();
-    s.tasks.reserve(nthreads);
-    if (s.ctxs.size() > nthreads) s.ctxs.resize(nthreads);
-
-    // Build contexts and coroutines (created suspended).
-    for (unsigned tid = 0; tid < nthreads; ++tid) {
-        if (tid < s.ctxs.size()) {
-            // Reuse the existing allocation: ThreadCtx is not assignable
-            // (const-ish identity members), so destroy + construct in place.
-            ThreadCtx* p = s.ctxs[tid].get();
-            p->~ThreadCtx();
-            new (p) ThreadCtx(unlinearize_thread(tid, cfg.block), block_idx, cfg.block,
-                              cfg.grid, &cm, &block_state,
-                              &result.warps[tid / kWarpSize], exec);
-        } else {
-            s.ctxs.push_back(std::make_unique<ThreadCtx>(
-                unlinearize_thread(tid, cfg.block), block_idx, cfg.block, cfg.grid, &cm,
-                &block_state, &result.warps[tid / kWarpSize], exec));
-        }
-        s.tasks.push_back(entry(*s.ctxs[tid]));
-    }
-
-    s.finished.assign(nthreads, false);
-    std::vector<std::unique_ptr<ThreadCtx>>& ctxs = s.ctxs;
+    BlockResult& result = begin_block(s, cfg, violation_sink);
     std::vector<KernelTask>& tasks = s.tasks;
-    std::vector<bool>& finished = s.finished;
+    tasks.resize(nthreads);
+    const EndOfBlock end(tasks, s.block);
     unsigned live = nthreads;
+    unsigned at_barrier = 0;
+    unsigned finished_this_epoch = 0;
 
-    while (live > 0) {
-        unsigned at_barrier = 0;
-        unsigned finished_this_epoch = 0;
-        for (unsigned tid = 0; tid < nthreads; ++tid) {
-            if (finished[tid] || ctxs[tid]->at_barrier()) {
-                at_barrier += ctxs[tid]->at_barrier() ? 1u : 0u;
-                continue;
-            }
-            tasks[tid].resume();
-            if (auto ep = tasks[tid].exception()) rethrow_as_launch_failure(ep);
-            if (tasks[tid].done()) {
-                finished[tid] = true;
-                --live;
-                ++finished_this_epoch;
-                // SIMD fold into the warp: cycles at the pace of the slowest
-                // lane, traffic summed over lanes.
-                WarpAcct& w = ctxs[tid]->warp();
-                const ThreadAcct& a = ctxs[tid]->acct();
-                if (a.compute_cycles > w.compute_cycles) w.compute_cycles = a.compute_cycles;
-                if (a.stall_cycles > w.stall_cycles) w.stall_cycles = a.stall_cycles;
-                w.bytes_read += a.bytes_read;
-                w.bytes_written += a.bytes_written;
-                w.useful_bytes_read += a.useful_bytes_read;
-                w.useful_bytes_written += a.useful_bytes_written;
-            } else {
-                ++at_barrier;
-            }
+    auto step = [&](unsigned tid) {
+        KernelTask& task = tasks[tid];
+        task.resume();
+        if (auto ep = task.exception()) rethrow_as_launch_failure(ep);
+        if (!task.done()) {
+            ++at_barrier;
+            return;
         }
-        if (at_barrier > 0 && (finished_this_epoch > 0 || at_barrier != live)) {
-            // __syncthreads() must be reached by every thread of the block;
-            // a thread finishing (or not arriving) while others wait is the
-            // CUDA-undefined divergent barrier, diagnosed instead of hung.
-            throw Error(ErrorCode::LaunchFailure,
-                        "__syncthreads() reached by " + std::to_string(at_barrier) +
-                            " of " + std::to_string(live + finished_this_epoch) +
-                            " threads (divergent barrier)");
-        }
-        if (live == 0) break;
-        for (auto& ctx : ctxs) ctx->clear_barrier();
-        ++block_state.sync_episodes;
+        // SIMD fold into the warp: cycles at the pace of the slowest lane,
+        // traffic summed over lanes.
+        WarpAcct& w = s.ctxs[tid]->warp();
+        const ThreadAcct& a = s.ctxs[tid]->acct();
+        if (a.compute_cycles > w.compute_cycles) w.compute_cycles = a.compute_cycles;
+        if (a.stall_cycles > w.stall_cycles) w.stall_cycles = a.stall_cycles;
+        w.bytes_read += a.bytes_read;
+        w.bytes_written += a.bytes_written;
+        w.useful_bytes_read += a.useful_bytes_read;
+        w.useful_bytes_written += a.useful_bytes_written;
+        task = KernelTask{};  // the next thread's coroutine reuses this frame
+        --live;
+        ++finished_this_epoch;
+    };
+
+    for (unsigned tid = 0; tid < nthreads; ++tid) {
+        tasks[tid] = entry(place(s.ctxs, tid, unlinearize_thread(tid, cfg.block), block_idx,
+                                 cfg.block, cfg.grid, &cm, &s.block,
+                                 &result.warps[tid / kWarpSize], exec));
+        step(tid);
     }
-
-    result.sync_episodes = block_state.sync_episodes;
-    // The sink points into the caller's frame; don't leave it dangling in
-    // reusable scratch.
-    block_state.violation_sink = nullptr;
+    for (;;) {
+        check_barrier(at_barrier, live, finished_this_epoch);
+        if (live == 0) break;
+        for (unsigned tid = 0; tid < nthreads; ++tid) s.ctxs[tid]->clear_barrier();
+        ++s.block.sync_episodes;
+        at_barrier = finished_this_epoch = 0;
+        for (unsigned tid = 0; tid < nthreads; ++tid) {
+            if (tasks[tid].valid()) step(tid);
+        }
+    }
+    result.sync_episodes = s.block.sync_episodes;
     return result;
 }
 
-namespace {
-
 /// The warp-vectorized block loop: one coroutine per warp, resumed once per
-/// epoch. Lane bookkeeping is popcount arithmetic over the warps' live and
-/// at-barrier masks, arranged so the divergent-barrier diagnostic carries
-/// the exact thread counts (and message) the per-thread loop produces.
-BlockResult run_block_warp(const CostModel& cm, const LaunchConfig& cfg,
-                           const WarpKernelEntry& entry, uint3 block_idx,
-                           const memcheck::ExecContext* exec, const RunBlockOpts& opts) {
+/// epoch, its first epoch fused with construction as above. Lane
+/// bookkeeping is popcount arithmetic over the warps' live and at-barrier
+/// masks, arranged so the divergent-barrier diagnostic carries the exact
+/// thread counts the per-thread loop produces.
+BlockResult& run_block_warp(const CostModel& cm, const LaunchConfig& cfg,
+                            const WarpKernelEntry& entry, uint3 block_idx,
+                            const memcheck::ExecContext* exec, BlockScratch::State& s,
+                            std::vector<memcheck::Violation>* violation_sink) {
     const unsigned nthreads = static_cast<unsigned>(cfg.block.count());
     const unsigned nwarps = cfg.warps_per_block();
+    BlockResult& result = begin_block(s, cfg, violation_sink);
+    std::vector<KernelTask>& tasks = s.tasks;
+    tasks.resize(nwarps);
+    const EndOfBlock end(tasks, s.block);
+    unsigned live = nthreads;  // lanes not yet finished, across all warps
+    unsigned at_barrier = 0;
+    unsigned finished_this_epoch = 0;
 
-    BlockResult result;
-    result.warps.resize(nwarps);
-
-    std::unique_ptr<BlockScratch> local;
-    if (opts.scratch == nullptr) local = std::make_unique<BlockScratch>();
-    BlockScratch::State& s =
-        *(opts.scratch != nullptr ? opts.scratch : local.get())->state;
-
-    BlockState& block_state = s.block;
-    block_state.shared_arena.assign(cfg.shared_bytes, std::byte{0});
-    block_state.sync_episodes = 0;
-    block_state.shared_shadow.reset();
-    block_state.violation_sink = opts.violation_sink;
-
-    // Tear down the previous block's warp coroutines before their contexts
-    // are reconstructed underneath them.
-    s.wtasks.clear();
-    s.wtasks.reserve(nwarps);
-    if (s.wctxs.size() > nwarps) s.wctxs.resize(nwarps);
+    auto step = [&](unsigned w) {
+        WarpCtx& wc = *s.wctxs[w];
+        KernelTask& task = tasks[w];
+        const auto lanes_before = static_cast<unsigned>(std::popcount(wc.live()));
+        task.resume();
+        if (auto ep = task.exception()) rethrow_as_launch_failure(ep);
+        if (task.done() || wc.live() == 0) {
+            // The warp retired: either the body ran to completion or every
+            // lane exited via exit_lanes(). All lanes that were still live
+            // when this epoch started finish here.
+            wc.fold_into_warp_acct();
+            task = KernelTask{};
+            finished_this_epoch += lanes_before;
+            live -= lanes_before;
+            return;
+        }
+        // Suspended at a barrier. Lanes that exited mid-epoch via
+        // exit_lanes() finished without arriving at it.
+        const auto lanes_now = static_cast<unsigned>(std::popcount(wc.live()));
+        finished_this_epoch += lanes_before - lanes_now;
+        live -= lanes_before - lanes_now;
+        at_barrier += static_cast<unsigned>(std::popcount(wc.at_barrier_mask()));
+    };
 
     for (unsigned w = 0; w < nwarps; ++w) {
         const unsigned base = w * kWarpSize;
-        const unsigned nlanes =
-            nthreads - base < kWarpSize ? nthreads - base : kWarpSize;
-        if (w < s.wctxs.size()) {
-            WarpCtx* p = s.wctxs[w].get();
-            p->~WarpCtx();
-            new (p) WarpCtx(base, nlanes, block_idx, cfg.block, cfg.grid, &cm,
-                            &block_state, &result.warps[w], exec);
-        } else {
-            s.wctxs.push_back(std::make_unique<WarpCtx>(
-                base, nlanes, block_idx, cfg.block, cfg.grid, &cm, &block_state,
-                &result.warps[w], exec));
-        }
-        s.wtasks.push_back(entry(*s.wctxs[w]));
+        const unsigned nlanes = nthreads - base < kWarpSize ? nthreads - base : kWarpSize;
+        tasks[w] = entry(place(s.wctxs, w, base, nlanes, block_idx, cfg.block, cfg.grid,
+                               &cm, &s.block, &result.warps[w], exec));
+        step(w);
     }
-
-    s.wfinished.assign(nwarps, false);
-    std::vector<std::unique_ptr<WarpCtx>>& wctxs = s.wctxs;
-    std::vector<KernelTask>& wtasks = s.wtasks;
-    std::vector<bool>& wfinished = s.wfinished;
-    unsigned live = nthreads;  // lanes not yet finished, across all warps
-
-    while (live > 0) {
-        unsigned at_barrier = 0;
-        unsigned finished_this_epoch = 0;
-        for (unsigned w = 0; w < nwarps; ++w) {
-            if (wfinished[w]) continue;
-            WarpCtx& wc = *wctxs[w];
-            const auto lanes_before =
-                static_cast<unsigned>(std::popcount(wc.live()));
-            wtasks[w].resume();
-            if (auto ep = wtasks[w].exception()) rethrow_as_launch_failure(ep);
-            if (wtasks[w].done() || wc.live() == 0) {
-                // The warp retired: either the body ran to completion or
-                // every lane exited via exit_lanes(). All lanes that were
-                // still live when this epoch started finish here.
-                wfinished[w] = true;
-                wc.fold_into_warp_acct();
-                finished_this_epoch += lanes_before;
-                live -= lanes_before;
-            } else {
-                // Suspended at a barrier. Lanes that exited mid-epoch via
-                // exit_lanes() finished without arriving at it.
-                const auto lanes_now =
-                    static_cast<unsigned>(std::popcount(wc.live()));
-                finished_this_epoch += lanes_before - lanes_now;
-                live -= lanes_before - lanes_now;
-                at_barrier += static_cast<unsigned>(std::popcount(wc.at_barrier_mask()));
-            }
-        }
-        if (at_barrier > 0 && (finished_this_epoch > 0 || at_barrier != live)) {
-            // Same diagnosis — and byte-identical message — as the
-            // per-thread loop above: X lanes arrived, Y were obliged to.
-            throw Error(ErrorCode::LaunchFailure,
-                        "__syncthreads() reached by " + std::to_string(at_barrier) +
-                            " of " + std::to_string(live + finished_this_epoch) +
-                            " threads (divergent barrier)");
-        }
+    for (;;) {
+        check_barrier(at_barrier, live, finished_this_epoch);
         if (live == 0) break;
-        for (auto& wc : wctxs) wc->clear_barrier();
-        ++block_state.sync_episodes;
+        for (unsigned w = 0; w < nwarps; ++w) s.wctxs[w]->clear_barrier();
+        ++s.block.sync_episodes;
+        at_barrier = finished_this_epoch = 0;
+        for (unsigned w = 0; w < nwarps; ++w) {
+            if (tasks[w].valid()) step(w);
+        }
     }
-
-    result.sync_episodes = block_state.sync_episodes;
-    block_state.violation_sink = nullptr;
+    result.sync_episodes = s.block.sync_episodes;
     return result;
 }
 
 }  // namespace
 
-BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
-                      const KernelSpec& spec, uint3 block_idx,
-                      const memcheck::ExecContext* exec, const RunBlockOpts& opts) {
+BlockResult& run_block(const CostModel& cm, const LaunchConfig& cfg, const KernelSpec& spec,
+                       uint3 block_idx, BlockScratch& scratch,
+                       const memcheck::ExecContext* exec,
+                       std::vector<memcheck::Violation>* violation_sink) {
     if (spec.warp && engine_mode() == EngineMode::Warp) {
-        return run_block_warp(cm, cfg, spec.warp, block_idx, exec, opts);
+        return run_block_warp(cm, cfg, spec.warp, block_idx, exec, *scratch.state,
+                              violation_sink);
     }
-    return run_block(cm, cfg, spec.thread, block_idx, exec, opts);
+    return run_block_thread(cm, cfg, spec.thread, block_idx, exec, *scratch.state,
+                            violation_sink);
 }
 
 }  // namespace cusim

@@ -41,12 +41,14 @@ struct BlockResult {
     std::uint64_t sync_episodes = 0;
 };
 
-/// Reusable per-worker storage for run_block: the thread contexts, the
-/// coroutine handles, the finished bitmap and the block's shared-memory
-/// arena. A worker keeps one of these (thread_local in Device::launch) and
-/// passes it to every block it runs, so steady-state execution allocates
-/// nothing per block — contexts are re-constructed in place and the arena
-/// keeps its capacity. Opaque; run_block owns the layout.
+/// Reusable per-host-thread storage for run_block: the block's result, the
+/// thread and warp contexts, the coroutine handles and the shared-memory
+/// arena. Device::launch keeps one per host thread (thread_local, on the
+/// serial path and on every pool worker) and passes it to every block that
+/// thread runs, so steady-state execution allocates nothing per block or
+/// per launch: contexts are re-constructed in place, vectors and the arena
+/// keep their capacity, and no coroutine frame outlives its block. Opaque;
+/// run_block owns the layout.
 struct BlockScratch {
     BlockScratch();
     ~BlockScratch();
@@ -57,36 +59,27 @@ struct BlockScratch {
     std::unique_ptr<State> state;
 };
 
-/// Optional knobs for run_block (all default to the classic behaviour).
-struct RunBlockOpts {
-    /// Reuse this worker-owned storage instead of allocating per block.
-    BlockScratch* scratch = nullptr;
-    /// When non-null, memcheck violations are buffered here in program
-    /// order instead of being reported through memcheck::record()
-    /// immediately (strict mode still throws at the faulting access). The
-    /// sink is caller-owned so buffered violations survive a mid-block
-    /// exception — the parallel launch path flushes them in launch order.
-    std::vector<memcheck::Violation>* violation_sink = nullptr;
-};
-
-/// Runs all threads of block `block_idx` to completion. Throws
-/// Error(LaunchFailure) wrapping any exception escaping a kernel body and on
-/// divergent barrier use. `exec` (optional) gives the threads their
-/// memcheck execution context — kernel name, global-memory shadow, device
-/// ordinal — for attributed diagnostics.
-BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
-                      const KernelEntry& entry, uint3 block_idx,
-                      const memcheck::ExecContext* exec = nullptr,
-                      const RunBlockOpts& opts = {});
-
+/// Runs all threads of block `block_idx` to completion in `scratch` and
+/// returns the block's result, which lives in the scratch until its next
+/// block (the caller may move it out). Throws Error(LaunchFailure) wrapping
+/// any exception escaping a kernel body and on divergent barrier use.
+/// `exec` (optional) gives the threads their memcheck execution context —
+/// kernel name, global-memory shadow, device ordinal — for attributed
+/// diagnostics. When `violation_sink` is non-null, memcheck violations are
+/// buffered there in program order instead of being reported through
+/// memcheck::record() immediately (strict mode still throws at the faulting
+/// access); the sink is caller-owned so buffered violations survive a
+/// mid-block exception, and the parallel launch path flushes them in launch
+/// order.
+///
 /// Dual-form dispatch: runs the warp-vectorized interpreter (one coroutine
 /// per warp, lane-batched state, active-mask divergence — see warp_ctx.hpp)
 /// when the spec carries a warp form and engine_mode() is Warp; otherwise
-/// the classic per-thread engine above. Both produce bit-identical
+/// the classic coroutine-per-thread engine. Both produce bit-identical
 /// observables for charge-equal kernel forms.
-BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
-                      const KernelSpec& spec, uint3 block_idx,
-                      const memcheck::ExecContext* exec = nullptr,
-                      const RunBlockOpts& opts = {});
+BlockResult& run_block(const CostModel& cm, const LaunchConfig& cfg, const KernelSpec& spec,
+                       uint3 block_idx, BlockScratch& scratch,
+                       const memcheck::ExecContext* exec = nullptr,
+                       std::vector<memcheck::Violation>* violation_sink = nullptr);
 
 }  // namespace cusim

@@ -18,12 +18,14 @@ namespace cusim {
 
 namespace detail {
 
-/// Thread-local recycler for coroutine frames. The block engine creates and
-/// destroys one frame per device thread per block — up to 512 per block —
-/// and a worker allocates and frees its own blocks' frames, so a lock-free
-/// thread_local cache removes that churn entirely. Frames are bucketed by
-/// exact size (a program typically has a handful of distinct kernel frame
-/// sizes).
+/// Thread-local recycler for coroutine frames. The block engine creates one
+/// coroutine per device thread (or warp) per block and releases a frame as
+/// soon as its thread finishes, so a barrier-free block takes and gives back
+/// one hot frame over and over; only threads suspended at a barrier hold
+/// theirs, up to 512 per block. Every host thread allocates and frees its
+/// own blocks' frames, so a lock-free thread_local cache removes that churn
+/// entirely. Frames are bucketed by exact size (a program typically has a
+/// handful of distinct kernel frame sizes).
 ///
 /// When a program cycles through more frame sizes than there are buckets,
 /// the least-recently-used bucket is retargeted to the new size (its cached
